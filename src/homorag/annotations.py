@@ -7,13 +7,14 @@ snippets under the DOMAIN_MOTIF tag. Unknown CC topics are kept verbatim as
 tags; deciding relevance is the filter's job, not the parser's.
 
 The index is a sidecar file of (accession, byte offset, length) rows over the
-source flat file, so lookups reparse straight from disk and rebuilding is
-idempotent.
+source flat file, so lookups reparse straight from disk (an index keeps the
+entries it is asked for repeatedly) and rebuilding is idempotent.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -26,6 +27,8 @@ _GO_ID_RE = re.compile(r"^GO:\d{7}$")
 _ID_LINE_RE = re.compile(r"^ID\s+(\S+)\s+.*?(\d+)\s+AA\.?\s*$")
 _DR_GO_RE = re.compile(r"^DR\s+GO;\s+(GO:\d{7});")
 _NOTE_RE = re.compile(r'/note="([^"]*)"')
+
+LOOKUP_CACHE_ENTRIES = 4096  # parsed entries an index keeps, and accessions it remembers
 
 _FT_KEYS = {"DOMAIN", "MOTIF", "REGION"}
 _GO_NAMESPACES = ("molecular_function", "biological_process", "cellular_component")
@@ -71,6 +74,14 @@ class AnnotationSnippet:
             raise ValueError(f"snippet value for tag {norm!r} is empty")
         if self.homolog_rank is not None and self.homolog_rank < 1:
             raise ValueError(f"homolog_rank must be >= 1, got {self.homolog_rank}")
+
+    def with_rank(self, rank: int) -> "AnnotationSnippet":
+        """Copy stamped with a homolog rank; the other fields are already validated."""
+        if rank < 1:
+            raise ValueError(f"homolog_rank must be >= 1, got {rank}")
+        ranked = object.__new__(type(self))
+        ranked.__dict__.update(self.__dict__, homolog_rank=rank)
+        return ranked
 
     def key(self) -> tuple:
         """Identity used for multiset comparisons across filtering stages."""
@@ -310,16 +321,28 @@ def parse_go_file(path: str | Path) -> dict[str, GoTerm]:
 class AnnotationIndex:
     """Accession -> (offset, length) into the flat file, plus the GO term map.
 
-    Immutable after build; lookups open the flat file per call, so any number
-    of concurrent readers is safe.
+    Immutable after build. From an accession's second lookup on, its parsed
+    entry, itself immutable, is kept and served without reading the flat
+    file. At most LOOKUP_CACHE_ENTRIES entries are kept, oldest dropped
+    first. An entry looked up only once is not kept: when no hit repeats, a
+    kept entry would only add garbage-collector work (tail latency). Any
+    number of concurrent readers is safe.
     """
 
     dat_path: str
     records: dict[str, tuple[int, int]]
     go_terms: dict[str, GoTerm] = field(default_factory=dict)
     record_count: int = 0
+    _parsed: dict[str, ProteinEntry] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _seen: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+    _parsed_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def lookup(self, accession: str) -> ProteinEntry:
+        entry = self._parsed.get(accession)
+        if entry is not None:
+            return entry
         loc = self.records.get(accession)
         if loc is None:
             raise AccessionNotFound(accession)
@@ -327,7 +350,17 @@ class AnnotationIndex:
         with open(self.dat_path, "rb") as fh:
             fh.seek(offset)
             blob = fh.read(length)
-        return parse_entry(blob.decode("utf-8"))
+        entry = parse_entry(blob.decode("utf-8"))
+        with self._parsed_lock:
+            if accession in self._seen:
+                if len(self._parsed) >= LOOKUP_CACHE_ENTRIES:
+                    del self._parsed[next(iter(self._parsed))]
+                self._parsed[accession] = entry
+            else:
+                if len(self._seen) >= LOOKUP_CACHE_ENTRIES:
+                    self._seen.clear()
+                self._seen.add(accession)
+        return entry
 
     def resolve_go(self, go_id: str, source_accession: str = "") -> list[AnnotationSnippet]:
         """Best-effort GO supplement: unknown ids yield an empty list."""

@@ -18,8 +18,11 @@ pipeline path runs offline:
                          lines verbatim
 
 Responses are cached on disk keyed by a digest of the canonicalized request;
-requests are retried up to max_retries times and at most max_in_flight run
-concurrently per backend.
+a cache file that does not decode counts as a miss and is rewritten. Requests
+are retried up to max_retries times and at most max_in_flight run
+concurrently per backend. Embedding vectors are also memoised in memory per
+(endpoint, model, text), so an embed request carries only the texts the
+gateway has not embedded yet.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import re
 import threading
 import time
 import zlib
+from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -45,6 +49,7 @@ KEYWORD_BOOST_HI = 0.9
 KEYWORD_BOOST_LO = 0.4
 KEYWORD_MIN_LEN = 4
 DEFAULT_MOCK_DIM = 32
+EMBED_MEMO_TEXTS = 4096  # embedding vectors a gateway keeps, oldest dropped first
 ECHO_PREFIX = "Based on the retrieved evidence, the protein is characterized as follows:"
 ECHO_EMPTY = "No supporting evidence was retrieved; no sequence-grounded answer is available."
 
@@ -129,7 +134,8 @@ class Gateway:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.transport = transport or _http_post_json
         self.retry_backoff = 0.05
-        self._semaphores: dict[tuple[str, str], threading.BoundedSemaphore] = {}
+        self._semaphores: dict[tuple[str, str, int], threading.BoundedSemaphore] = {}
+        self._embeddings: dict[tuple[str, str, str], array] = {}
         self._lock = threading.Lock()
 
     # -- caching -----------------------------------------------------------
@@ -140,11 +146,16 @@ class Gateway:
         return self.cache_dir / key.filename()
 
     def _cache_read(self, key: CacheKey) -> Optional[dict]:
+        """The cached response, or None on a miss; an undecodable file is a miss."""
         path = self._cache_path(key)
-        if path is None or not path.exists():
+        if path is None:
             return None
-        with open(path, "rb") as fh:
-            return json.loads(fh.read().decode("utf-8"))
+        try:
+            with open(path, "rb") as fh:
+                response = json.loads(fh.read().decode("utf-8"))
+        except (FileNotFoundError, ValueError):  # ValueError: bad UTF-8 or JSON, or truncated
+            return None
+        return response if isinstance(response, dict) else None
 
     def _cache_write(self, key: CacheKey, response: dict):
         path = self._cache_path(key)
@@ -160,12 +171,11 @@ class Gateway:
     # -- transport ---------------------------------------------------------
 
     def _semaphore(self, cfg: BackendConfig) -> threading.BoundedSemaphore:
-        key = (cfg.role, cfg.endpoint)
+        key = (cfg.role, cfg.endpoint, cfg.max_in_flight)
         with self._lock:
             sem = self._semaphores.get(key)
-            if sem is None or sem._initial_value != cfg.max_in_flight:  # type: ignore[attr-defined]
-                sem = threading.BoundedSemaphore(cfg.max_in_flight)
-                self._semaphores[key] = sem
+            if sem is None:
+                sem = self._semaphores[key] = threading.BoundedSemaphore(cfg.max_in_flight)
             return sem
 
     def _headers(self) -> dict:
@@ -276,18 +286,35 @@ class Gateway:
         return text
 
     def embed(self, cfg: BackendConfig, texts: Sequence[str]) -> list[list[float]]:
-        """Embed a batch of texts; order is preserved."""
+        """Embed a batch of texts; order and duplicates are preserved.
+
+        Vectors are memoised per (endpoint, model, text), so the request
+        carries each text not embedded before once. This assumes a text's
+        vector does not depend on the other texts in its batch.
+        """
         texts = list(texts)
         if not texts:
             return []
-        response = self._request(cfg, "embed", {"input": texts})
-        vectors = response.get("embeddings")
-        if vectors is None or len(vectors) != len(texts):
-            raise GatewayError(
-                f"embedder returned {None if vectors is None else len(vectors)} vectors "
-                f"for {len(texts)} texts"
-            )
-        return [[float(v) for v in vec] for vec in vectors]
+        memo = self._embeddings
+        with self._lock:
+            known = {t: memo[key] for t in texts if (key := (cfg.endpoint, cfg.model, t)) in memo}
+        missing = list(dict.fromkeys(t for t in texts if t not in known))
+        if missing:
+            response = self._request(cfg, "embed", {"input": missing})
+            vectors = response.get("embeddings")
+            if vectors is None or len(vectors) != len(missing):
+                raise GatewayError(
+                    f"embedder returned {None if vectors is None else len(vectors)} vectors "
+                    f"for {len(missing)} texts"
+                )
+            fresh = {t: array("d", [float(v) for v in vec]) for t, vec in zip(missing, vectors)}
+            with self._lock:
+                for t, vec in fresh.items():
+                    if len(memo) >= EMBED_MEMO_TEXTS:
+                        del memo[next(iter(memo))]
+                    memo[(cfg.endpoint, cfg.model, t)] = vec
+            known.update(fresh)
+        return [known[t].tolist() for t in texts]
 
     # -- role handles --------------------------------------------------------
 

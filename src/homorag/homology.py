@@ -284,7 +284,7 @@ def assemble_raw_pool(
 
     homologs = []
     for rank, (hit, snippets) in enumerate(found, start=1):
-        ranked = tuple(replace(s, homolog_rank=rank) for s in snippets)
+        ranked = tuple(s.with_rank(rank) for s in snippets)
         homologs.append(PoolHomolog(rank=rank, hit=hit, snippets=ranked))
     return EvidencePool(stage=Stage.RAW, homologs=tuple(homologs), warnings=tuple(warnings))
 

@@ -45,6 +45,7 @@ from .homology import (
 from .metrics import EntityLexicon, aggregate, render_table, rows_to_jsonl, score_record
 from .tag_filter import (
     FilterModel,
+    TokenProbSequence,
     build_distillation_set,
     make_query_context,
     segment_ig,
@@ -442,6 +443,20 @@ def run_blast(config: PipelineConfig, fasta_path: str | Path, out_path: str | Pa
     return {"command": command, "returncode": proc.returncode, "out": str(out_path)}
 
 
+class _MemoScorer:
+    """Scorer that sends each distinct (prompt, target) request once."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+        self.answers: dict[tuple[str, str], TokenProbSequence] = {}
+
+    def score_tokens(self, prompt: str, target: str) -> TokenProbSequence:
+        answer = self.answers.get((prompt, target))
+        if answer is None:
+            answer = self.answers[(prompt, target)] = self.scorer.score_tokens(prompt, target)
+        return answer
+
+
 def label_dataset(
     config: PipelineConfig,
     records: Sequence[QARecord],
@@ -450,8 +465,14 @@ def label_dataset(
     gateway: Gateway,
     per_type: int = 100,
 ):
-    """Wire retrieval and the teacher scorer into distillation-set labeling."""
-    scorer = gateway.scorer_handle(config.scorer)
+    """Wire retrieval and the teacher scorer into distillation-set labeling.
+
+    Each distinct scorer request is sent once per record: the
+    without-document leg depends only on (query context, fragment), so every
+    snippet of a record shares it.
+    """
+    handle = gateway.scorer_handle(config.scorer)
+    current: Optional[tuple[QARecord, _MemoScorer]] = None
 
     def snippet_source(record: QARecord):
         hits = hits_by_query.get(record.id, [])
@@ -459,9 +480,12 @@ def label_dataset(
         return assemble_raw_pool(selected, index, config.retrieval.resolve_go).snippets()
 
     def ig_fn(record: QARecord, snippet) -> float:
+        nonlocal current
+        if current is None or current[0] is not record:
+            current = (record, _MemoScorer(handle))
         fragments = split_fragments(record.answer)
         return segment_ig(
-            scorer,
+            current[1],
             make_query_context(record.instruction, record.sequence),
             snippet_document(snippet.tag, snippet.value),
             fragments,

@@ -20,7 +20,6 @@ import json
 import math
 import re
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol, Sequence
@@ -297,7 +296,30 @@ def _hash_feature(key: str) -> int:
     return zlib.crc32(key.encode("utf-8")) % FEATURE_DIM
 
 
-def extract_features(instruction: str, tag: str) -> Counter:
+def _conjunction_prefixes(instruction: str) -> list[int]:
+    """crc32 state after each instruction word's `x:{word}|` prefix.
+
+    Continuing a state with the normalized tag's bytes gives the hash of the
+    full `x:{word}|{tag}` conjunction key, so an instruction is tokenized and
+    hashed once however many tags it is scored against.
+    """
+    words = _WORD_RE.findall(instruction.lower())
+    return [zlib.crc32(f"x:{word}|".encode("utf-8")) for word in words]
+
+
+def _tag_features(prefixes: Sequence[int], tag: str) -> dict[int, float]:
+    tag_norm = normalize_tag(tag)
+    tag_bytes = tag_norm.encode("utf-8")
+    keys = [_hash_feature(f"t:{tag_norm}")]
+    keys += [_hash_feature(f"tw:{word}") for word in _WORD_RE.findall(tag_norm.lower())]
+    keys += [zlib.crc32(tag_bytes, prefix) % FEATURE_DIM for prefix in prefixes]
+    feats: dict[int, float] = {}
+    for key in keys:
+        feats[key] = feats.get(key, 0.0) + 1.0
+    return feats
+
+
+def extract_features(instruction: str, tag: str) -> dict[int, float]:
     """Tag-conditioned hashed features: a tag intercept, tag-word features,
     and instruction-word x tag conjunctions.
 
@@ -305,14 +327,7 @@ def extract_features(instruction: str, tag: str) -> Counter:
     tag's score independently instead of shifting every tag at once; snippet
     values are not part of the signature at all.
     """
-    tag_norm = normalize_tag(tag)
-    feats: Counter = Counter()
-    feats[_hash_feature(f"t:{tag_norm}")] += 1.0
-    for word in _WORD_RE.findall(tag_norm.lower()):
-        feats[_hash_feature(f"tw:{word}")] += 1.0
-    for word in _WORD_RE.findall(instruction.lower()):
-        feats[_hash_feature(f"x:{word}|{tag_norm}")] += 1.0
-    return feats
+    return _tag_features(_conjunction_prefixes(instruction), tag)
 
 
 def _sigmoid(z: float) -> float:
@@ -343,9 +358,22 @@ class FilterModel:
         self.metadata = metadata or {}
 
     def score(self, instruction: str, tag: str) -> float:
-        feats = extract_features(instruction, tag)
-        z = self.bias + sum(self.weights[idx] * val for idx, val in feats.items())
-        return _sigmoid(z)
+        """Predicted probability in [0, 1] that the tag is relevant to the instruction."""
+        return self.score_tags(instruction, [tag])[0]
+
+    def score_tags(self, instruction: str, tags: Sequence[str]) -> list[float]:
+        """`score(instruction, tag)` for each tag, hashing the instruction once.
+
+        Each tag's logit adds its weighted features in feature order, as
+        training does, so every score is bit-identical to scoring it alone.
+        """
+        prefixes = _conjunction_prefixes(instruction)
+        feats = [_tag_features(prefixes, tag) for tag in tags]
+        weights = iter(self.weights[[idx for f in feats for idx in f]].tolist())
+        return [
+            _sigmoid(self.bias + sum(next(weights) * val for val in f.values()))
+            for f in feats
+        ]
 
     def save(self, path: str | Path):
         nz = np.nonzero(self.weights)[0]
@@ -376,7 +404,7 @@ class FilterModel:
         )
 
 
-def _mean_bce(model: FilterModel, feats: list[Counter], labels: np.ndarray) -> float:
+def _mean_bce(model: FilterModel, feats: list[dict[int, float]], labels: np.ndarray) -> float:
     eps = 1e-12
     total = 0.0
     for f, y in zip(feats, labels):
@@ -447,11 +475,6 @@ def train_filter(
     return model
 
 
-def score_tag(model: FilterModel, instruction: str, tag: str) -> float:
-    """Predicted probability in [0, 1] that the tag is relevant to the instruction."""
-    return model.score(instruction, tag)
-
-
 def gate(pool: EvidencePool, model: FilterModel, instruction: str) -> EvidencePool:
     """Keep exactly the snippets whose tag scores strictly above 0.5.
 
@@ -460,14 +483,11 @@ def gate(pool: EvidencePool, model: FilterModel, instruction: str) -> EvidencePo
     """
     if pool.stage not in (Stage.RAW, Stage.HORIZONTAL):
         raise ValueError(f"gate expects a RAW or HORIZONTAL pool, got {pool.stage}")
-    scores: dict[str, float] = {}
-    homologs = []
-    for h in pool.homologs:
-        kept = []
-        for s in h.snippets:
-            if s.tag not in scores:
-                scores[s.tag] = model.score(instruction, s.tag)
-            if scores[s.tag] > 0.5:
-                kept.append(s)
-        homologs.append(PoolHomolog(rank=h.rank, hit=h.hit, snippets=tuple(kept)))
-    return EvidencePool(stage=Stage.HORIZONTAL, homologs=tuple(homologs), warnings=pool.warnings)
+    tags = list(dict.fromkeys(s.tag for s in pool.snippets()))
+    relevant = {tag for tag, p in zip(tags, model.score_tags(instruction, tags)) if p > 0.5}
+    homologs = tuple(
+        PoolHomolog(rank=h.rank, hit=h.hit,
+                    snippets=tuple(s for s in h.snippets if s.tag in relevant))
+        for h in pool.homologs
+    )
+    return EvidencePool(stage=Stage.HORIZONTAL, homologs=homologs, warnings=pool.warnings)

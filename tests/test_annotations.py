@@ -1,5 +1,6 @@
 """Flat-file parser, GO resolution, and index behavior."""
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,90 @@ def test_lookup_deterministic(annotation_index):
 def test_lookup_unknown(annotation_index):
     with pytest.raises(AccessionNotFound):
         annotation_index.lookup("ZZZZZZ")
+
+
+def _index_over_copy(tmp_path):
+    dat = tmp_path / "entries.dat"
+    shutil.copy(DAT, dat)
+    return dat, build_index(dat, FIXTURES / "go_mini.obo")
+
+
+def test_lookup_reuses_parsed_entry_after_flat_file_moves(tmp_path):
+    dat, index = _index_over_copy(tmp_path)
+    first = index.lookup("Q55C17")
+    assert index.lookup("Q55C17") == first  # the second lookup keeps the entry
+    index.lookup("Q3ZCD7")                  # looked up once: not kept
+    dat.rename(tmp_path / "moved.dat")
+    assert index.lookup("Q55C17") == first
+    with pytest.raises(FileNotFoundError):
+        index.lookup("Q3ZCD7")
+
+
+def test_lookup_unknown_accession_is_never_cached(tmp_path):
+    _, index = _index_over_copy(tmp_path)
+    for _ in range(2):
+        with pytest.raises(AccessionNotFound):
+            index.lookup("ZZZZZZ")
+    assert "ZZZZZZ" not in index._parsed and "ZZZZZZ" not in index._seen
+
+
+def test_lookup_cache_stays_within_its_bound(tmp_path, monkeypatch):
+    import homorag.annotations as annotations
+
+    monkeypatch.setattr(annotations, "LOOKUP_CACHE_ENTRIES", 2)
+    _, index = _index_over_copy(tmp_path)
+    accessions = ("Q55C17", "Q55C17", "Q3ZCD7", "Q3ZCD7", "Q9N5Y2", "Q9N5Y2", "P12345",
+                  "Q55C17", "P67890", "P67890", "Q55C17")
+    for acc in accessions:
+        entry = index.lookup(acc)
+        assert len(index._parsed) <= 2 and len(index._seen) <= 2
+        assert entry == parse_entry(_record_text(index, acc))
+    assert list(index._parsed) == ["P67890", "Q55C17"]
+
+
+def test_lookup_cache_under_concurrent_readers(tmp_path, monkeypatch):
+    import sys
+    import threading
+
+    import homorag.annotations as annotations
+
+    monkeypatch.setattr(annotations, "LOOKUP_CACHE_ENTRIES", 4)
+    _, index = _index_over_copy(tmp_path)
+    accessions = ("Q55C17", "Q3ZCD7", "Q9N5Y2", "P12345", "P67890", "Q8GW45")
+    expected = {acc: parse_entry(_record_text(index, acc)) for acc in accessions}
+    errors = []
+
+    def reader(offset):
+        try:
+            for i in range(3000):
+                acc = accessions[(offset + i) % len(accessions)]
+                if index.lookup(acc) != expected[acc]:
+                    errors.append(f"wrong entry for {acc}")
+                if len(index._parsed) > 4 or len(index._seen) > 4:
+                    errors.append(f"cache grew to {len(index._parsed)}/{len(index._seen)}")
+        except Exception as exc:  # noqa: BLE001 - reported through the assertion below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert index._parsed  # repeated lookups were served from the cache
+
+
+def _record_text(index, accession):
+    offset, length = index.records[accession]
+    with open(index.dat_path, "rb") as fh:
+        fh.seek(offset)
+        return fh.read(length).decode("utf-8")
 
 
 def test_index_rebuild_is_idempotent(tmp_path):

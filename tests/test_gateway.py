@@ -134,6 +134,81 @@ def test_embed_mock_dimension_and_order():
     assert vectors[3] == mock_hash_embedding("text number 3", 16)
 
 
+def test_embed_sends_only_texts_not_embedded_before():
+    sent = []
+    mock = Gateway()
+    mock_cfg = cfg_for("embedder", "mock:hash(dim=8)")
+
+    def transport(url, payload, timeout, headers):
+        sent.append(payload["input"])
+        return {"embeddings": mock.embed(mock_cfg, payload["input"])}
+
+    gw = Gateway(transport=transport)
+    cfg = cfg_for("embedder", "http://backend.test/embed")
+    gw.embed(cfg, ["alpha", "beta"])
+    texts = ["beta", "gamma", "alpha", "gamma", "beta"]
+    out = gw.embed(cfg, texts)
+    assert sent == [["alpha", "beta"], ["gamma"]]
+    assert out == Gateway().embed(mock_cfg, texts)
+    assert out == [mock_hash_embedding(t, 8) for t in texts]
+    assert gw.embed(cfg, texts) == out and len(sent) == 2
+
+
+def test_embed_memo_is_per_endpoint_and_model():
+    gw = Gateway()
+    a = gw.embed(cfg_for("embedder", "mock:hash(dim=8)"), ["alpha"])
+    b = gw.embed(cfg_for("embedder", "mock:hash(dim=16)"), ["alpha"])
+    assert len(a[0]) == 8 and len(b[0]) == 16
+
+
+def test_embed_memo_stays_within_its_bound(monkeypatch):
+    import homorag.gateway as gateway
+
+    monkeypatch.setattr(gateway, "EMBED_MEMO_TEXTS", 3)
+    gw = Gateway()
+    cfg = cfg_for("embedder", "mock:hash(dim=8)")
+    texts = [f"text {i}" for i in range(7)]
+    for i in range(len(texts)):
+        assert gw.embed(cfg, texts[: i + 1]) == [mock_hash_embedding(t, 8) for t in texts[: i + 1]]
+        assert len(gw._embeddings) <= 3
+
+
+def test_embed_memo_under_concurrent_callers(monkeypatch):
+    import sys
+
+    import homorag.gateway as gateway
+
+    monkeypatch.setattr(gateway, "EMBED_MEMO_TEXTS", 5)
+    gw = Gateway()
+    cfg = cfg_for("embedder", "mock:hash(dim=8)")
+    texts = [f"text {i}" for i in range(12)]
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(3000):
+                batch = [texts[(offset + i + k) % len(texts)] for k in range(4)]
+                if gw.embed(cfg, batch) != [mock_hash_embedding(t, 8) for t in batch]:
+                    errors.append(f"wrong vectors for {batch}")
+                if len(gw._embeddings) > 5:
+                    errors.append(f"memo grew to {len(gw._embeddings)}")
+        except Exception as exc:  # noqa: BLE001 - reported through the assertion below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
 def test_embed_empty_batch():
     assert Gateway().embed(cfg_for("embedder", "mock:hash(dim=8)"), []) == []
 
@@ -180,6 +255,30 @@ def test_cached_bytes_are_stable(tmp_path):
     out = gw.embed(cfg, ["alpha"])
     assert cache_files[0].read_bytes() == before
     assert json.loads(before)["embeddings"][0] == out[0]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda blob: blob[: len(blob) // 2],
+    lambda blob: b"{not json",
+    lambda blob: b"\xff\xfe" + blob,
+    lambda blob: b"[1, 2]",
+], ids=["truncated", "bad-json", "bad-utf8", "not-a-response"])
+def test_corrupt_cache_file_is_a_miss_and_rewritten(tmp_path, corrupt):
+    calls = []
+
+    def transport(url, payload, timeout, headers):
+        calls.append(payload)
+        return {"text": "fresh"}
+
+    cfg = cfg_for("generator", "http://backend.test/gen", max_retries=0)
+    Gateway(cache_dir=tmp_path, transport=lambda *a: {"text": "fresh"}).generate(cfg, "prompt")
+    (path,) = tmp_path.glob("*.json")
+    good = path.read_bytes()
+    path.write_bytes(corrupt(good))
+
+    assert Gateway(cache_dir=tmp_path, transport=transport).generate(cfg, "prompt") == "fresh"
+    assert len(calls) == 1
+    assert path.read_bytes() == good
 
 
 # -- retries -----------------------------------------------------------------------
@@ -248,3 +347,43 @@ def test_max_in_flight_bound():
     for t in threads:
         t.join()
     assert active["peak"] <= 2
+
+
+def test_semaphore_per_role_endpoint_and_limit():
+    in_flight = threading.Barrier(3, timeout=5)
+    active = {"now": 0, "peak": 0}
+    lock = threading.Lock()
+
+    def transport(url, payload, timeout, headers):
+        with lock:
+            active["now"] += 1
+            active["peak"] = max(active["peak"], active["now"])
+        try:
+            in_flight.wait()  # passes only once three requests are in flight together
+        finally:
+            with lock:
+                active["now"] -= 1
+        return {"text": payload["prompt"]}
+
+    gw = Gateway(transport=transport)
+    one = cfg_for("generator", "http://backend.test/gen", max_in_flight=1, max_retries=0)
+    three = cfg_for("generator", "http://backend.test/gen", max_in_flight=3, max_retries=0)
+    assert gw._semaphore(one) is gw._semaphore(one)
+    assert gw._semaphore(three) is not gw._semaphore(one)
+
+    gw._semaphore(one).acquire()  # a held limit of 1 must not throttle the other config
+    try:
+        results = []
+        threads = [
+            threading.Thread(target=lambda i=i: results.append(gw.generate(three, f"p{i}")))
+            for i in range(6)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        gw._semaphore(one).release()
+    assert sorted(results) == [f"p{i}" for i in range(6)]
+    assert active["peak"] == 3

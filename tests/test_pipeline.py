@@ -11,8 +11,10 @@ import yaml
 
 from conftest import FIXTURES, make_pipeline_config
 from homorag import cli
-from homorag.config import ConfigError, PipelineConfig, load_config
-from homorag.gateway import ECHO_EMPTY
+from homorag.annotations import AnnotationIndex
+from homorag.config import BackendConfig, ConfigError, PipelineConfig, load_config
+from homorag.gateway import ECHO_EMPTY, Gateway
+from homorag.homology import assemble_raw_pool, parse_blast_tabular, rank_and_select
 from homorag.metrics import EntityLexicon
 from homorag.pipeline import (
     BlastInvocationError,
@@ -20,10 +22,18 @@ from homorag.pipeline import (
     NO_EVIDENCE_NOTE,
     Pipeline,
     QARecord,
+    label_dataset,
     read_dataset,
     replay_context,
     run_blast,
     run_eval,
+)
+from homorag.tag_filter import (
+    build_distillation_set,
+    make_query_context,
+    segment_ig,
+    snippet_document,
+    split_fragments,
 )
 
 
@@ -293,6 +303,76 @@ def test_run_eval_counts_missing_references(tmp_path):
     table = run_eval(tmp_path, EntityLexicon(["x"]), out_prefix=tmp_path / "rep")
     assert table[0].n_records == 1
     assert "excluded (no reference): 1" in (tmp_path / "rep.txt").read_text(encoding="utf-8")
+
+
+# -- reuse within a run ----------------------------------------------------------------
+
+def artifact_bytes(out_dir):
+    return {p.name: p.read_bytes() for p in sorted((Path(out_dir) / "artifacts").glob("*.json"))}
+
+
+def test_warm_pipeline_rerun_matches_fresh_pipeline(index_dir_module, filter_model_module, tmp_path):
+    config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
+    config = replace(config, paths=replace(config.paths, cache_dir=None))
+    dataset = FIXTURES / "qa_records.jsonl"
+    warm = Pipeline(config)
+    warm.run_batch(dataset, tmp_path / "first")
+    warm.run_batch(dataset, tmp_path / "second")  # entries and embeddings now all reused
+    Pipeline(config).run_batch(dataset, tmp_path / "fresh")
+    fresh = artifact_bytes(tmp_path / "fresh")
+    assert len(fresh) == 10
+    assert artifact_bytes(tmp_path / "second") == fresh == artifact_bytes(tmp_path / "first")
+
+
+def _scorer_counting_gateway():
+    """Gateway whose scorer sits behind a transport that records each request."""
+    sent = []
+    mock, mock_cfg = Gateway(), BackendConfig(role="scorer", endpoint="mock:keyword-boost")
+
+    def transport(url, payload, timeout, headers):
+        sent.append((payload["prompt"], payload["target"]))
+        answer = mock.score_tokens(mock_cfg, payload["prompt"], payload["target"])
+        return {"tokens": list(answer.tokens), "probs": list(answer.probs)}
+
+    return Gateway(transport=transport), sent
+
+
+def _reference_labels(config, records, index, hits_by_query, gateway):
+    """Labelling without reuse: every snippet scores both legs of every fragment."""
+    scorer = gateway.scorer_handle(config.scorer)
+
+    def snippet_source(record):
+        selected = rank_and_select(hits_by_query.get(record.id, []), config.retrieval,
+                                   query_length=len(record.sequence))
+        return assemble_raw_pool(selected, index, config.retrieval.resolve_go).snippets()
+
+    def ig_fn(record, snippet):
+        return segment_ig(scorer, make_query_context(record.instruction, record.sequence),
+                          snippet_document(snippet.tag, snippet.value),
+                          split_fragments(record.answer), config.ig)
+
+    return build_distillation_set(records, snippet_source, ig_fn, tau=config.ig.tau,
+                                  seed=config.seed)
+
+
+def test_label_dataset_sends_each_scorer_request_once_per_record(index_dir_module):
+    config = replace(PipelineConfig(), scorer=BackendConfig(
+        role="scorer", endpoint="http://scorer.test/score", max_retries=0))
+    records = read_dataset(FIXTURES / "label_records.jsonl")
+    index = AnnotationIndex.load(index_dir_module)
+    hits_by_query = {}
+    with open(FIXTURES / "hits_fixture.tsv", encoding="utf-8") as fh:
+        for hit in parse_blast_tabular(fh):
+            hits_by_query.setdefault(hit.query_id, []).append(hit)
+
+    gateway, sent = _scorer_counting_gateway()
+    labelled = label_dataset(config, records, index, hits_by_query, gateway)
+    reference_gateway, reference_sent = _scorer_counting_gateway()
+    reference = _reference_labels(config, records, index, hits_by_query, reference_gateway)
+
+    assert labelled == reference  # same labels and IG values, in the same order
+    assert len(reference_sent) == 114
+    assert len(sent) == 58 == len(set(reference_sent))
 
 
 # -- blast invocation ----------------------------------------------------------------------

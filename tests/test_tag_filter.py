@@ -3,16 +3,18 @@
 import math
 import random
 import re
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SYNTH_TYPES, make_synthetic_examples, split_examples
+from conftest import FIXTURES, SYNTH_TYPES, make_synthetic_examples, split_examples
 from homorag.annotations import AnnotationSnippet
 from homorag.config import IgConfig
 from homorag.homology import EvidencePool, HomologHit, PoolHomolog, Stage
 from homorag.tag_filter import (
     DistillationExample,
+    FEATURE_DIM,
     FilterModel,
     Fragment,
     PROB_FLOOR,
@@ -24,7 +26,6 @@ from homorag.tag_filter import (
     label_snippet,
     make_query_context,
     read_examples,
-    score_tag,
     segment_ig,
     smooth_probs,
     split_fragments,
@@ -404,7 +405,7 @@ def test_metadata_records_recipe():
 
 def test_score_in_unit_interval(trained_model):
     for tag in ("FUNCTION", "CATALYTIC ACTIVITY", "NEVER SEEN BEFORE"):
-        assert 0.0 <= score_tag(trained_model, "What does this protein do?", tag) <= 1.0
+        assert 0.0 <= trained_model.score("What does this protein do?", tag) <= 1.0
 
 
 def test_score_deterministic(trained_model):
@@ -511,3 +512,50 @@ def test_gate_rejects_vertical_pool(trained_model):
     pool = EvidencePool(stage=Stage.VERTICAL, homologs=())
     with pytest.raises(ValueError, match="RAW or HORIZONTAL"):
         gate(pool, trained_model, "x")
+
+
+def _fixture_pools(annotation_index):
+    from homorag.config import RetrievalConfig
+    from homorag.homology import assemble_raw_pool, parse_blast_tabular, rank_and_select
+    from homorag.pipeline import read_dataset
+
+    with open(FIXTURES / "hits_fixture.tsv", encoding="utf-8") as fh:
+        hits = parse_blast_tabular(fh)
+    for name in ("qa_records.jsonl", "label_records.jsonl"):
+        for rec in read_dataset(FIXTURES / name):
+            selected = rank_and_select([h for h in hits if h.query_id == rec.id],
+                                       RetrievalConfig(), query_length=len(rec.sequence))
+            yield rec.instruction, assemble_raw_pool(selected, annotation_index)
+
+
+def test_gate_decisions_equal_scalar_scores_on_fixture_pools(trained_model, annotation_index):
+    checked = 0
+    for instruction, pool in _fixture_pools(annotation_index):
+        kept = gate(pool, trained_model, instruction).snippet_multiset()
+        for s in pool.snippets():
+            assert (s.key() in kept) == (trained_model.score(instruction, s.tag) > 0.5)
+            checked += 1
+    assert checked > 50
+
+
+def _reference_score(model, instruction, tag):
+    """Straight-line scorer: full-key hashes, weights summed in feature order."""
+    tag = " ".join(tag.strip().upper().split())
+    keys = [f"t:{tag}"] + [f"tw:{w}" for w in re.findall(r"[a-z0-9]+", tag.lower())]
+    keys += [f"x:{w}|{tag}" for w in re.findall(r"[a-z0-9]+", instruction.lower())]
+    feats = {}
+    for key in keys:
+        idx = zlib.crc32(key.encode("utf-8")) % FEATURE_DIM
+        feats[idx] = feats.get(idx, 0.0) + 1.0
+    z = model.bias + sum(model.weights[idx] * val for idx, val in feats.items())
+    return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
+
+
+def test_score_tags_bit_identical_to_straight_line_reference(trained_model, annotation_index):
+    pairs = [(instruction, s.tag) for instruction, pool in _fixture_pools(annotation_index)
+             for s in pool.snippets()]
+    pairs += [("the the function of the protein", "FUNCTION"),  # repeated conjunctions
+              ("Décrire la fonction", "Fonction protéique"), ("", "PATHWAY")]
+    for instruction, tag in pairs:
+        assert trained_model.score_tags(instruction, [tag, tag]) == \
+            [_reference_score(trained_model, instruction, tag)] * 2
