@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .annotations import AnnotationIndex, build_index, format_entry
 from .config import DenoiseConfig, RetrievalConfig, load_config
-from .denoise import dbscan, embed_values, select_anchor_clusters, assemble_context
+from .denoise import vertical_filter
 from .gateway import Gateway
 from .homology import (
     EvidencePool,
@@ -214,16 +214,11 @@ def _cmd_denoise(args, config) -> int:
     dconfig = DenoiseConfig(
         eps=args.eps, min_pts=args.min_pts, metric=args.metric, anchor_top_m=args.anchor_top
     )
-    flat = pool.snippets()
-    if not flat:
-        print("")
-        return 0
     gateway = Gateway(cache_dir=config.paths.cache_dir)
-    vectors = embed_values(gateway.embedder_handle(config.embedder), [s.value for s in flat])
-    cluster_set = dbscan(vectors, dconfig)
-    selection = select_anchor_clusters(cluster_set, pool, dconfig.anchor_top_m)
-    vertical, context = assemble_context(pool, selection.indices)
-    for warning in selection.warnings:
+    vertical, context, warnings = vertical_filter(
+        pool, gateway.embedder_handle(config.embedder), dconfig
+    )
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(

@@ -275,3 +275,23 @@ def assemble_context(
         homologs.append(PoolHomolog(rank=h.rank, hit=h.hit, snippets=tuple(kept)))
     vertical = EvidencePool(stage=Stage.VERTICAL, homologs=tuple(homologs), warnings=pool.warnings)
     return vertical, render_context(vertical)
+
+
+def vertical_filter(
+    pool: EvidencePool,
+    embedder: EmbeddingProvider,
+    cfg: DenoiseConfig,
+) -> tuple[EvidencePool, str, tuple[str, ...]]:
+    """The vertical stage: embed the pool's snippet values, cluster them and
+    keep the anchor homologs' clusters.
+
+    Returns the vertical pool, its rendered context and the anchor
+    selection's warnings. A pool without snippets is passed on empty without
+    an embedding request.
+    """
+    flat = pool.snippets()
+    if not flat:
+        return (*assemble_context(pool, []), ())
+    vectors = embed_values(embedder, [s.value for s in flat])
+    selection = select_anchor_clusters(dbscan(vectors, cfg), pool, cfg.anchor_top_m)
+    return (*assemble_context(pool, selection.indices), selection.warnings)

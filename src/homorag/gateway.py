@@ -18,18 +18,21 @@ pipeline path runs offline:
                          lines verbatim
 
 Responses are cached on disk keyed by a digest of the canonicalized request;
-a cache file that does not decode counts as a miss and is rewritten. Requests
-are retried up to max_retries times and at most max_in_flight run
-concurrently per backend. Embedding vectors are also memoised in memory per
-(endpoint, model, text), so an embed request carries only the texts the
-gateway has not embedded yet.
+a cache file that does not decode counts as a miss and is rewritten. A
+failed request is retried up to max_retries times with jittered exponential
+backoff, unless its HTTP status says a retry cannot help (a 4xx other than
+408 and 429). At most max_in_flight requests run concurrently per backend.
+Embedding vectors are also memoised in memory per (endpoint, model, text), so
+an embed request carries only the texts the gateway has not embedded yet.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
+import random
 import re
 import threading
 import time
@@ -39,6 +42,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .atomic import write_atomic
 from .config import BackendConfig, ENV_API_KEY_VAR, GenerationParams
 from .tag_filter import TokenProbSequence
 
@@ -81,6 +85,14 @@ class CacheKey:
 
     def filename(self) -> str:
         return f"{self.role}-{self.digest}.json"
+
+
+def _is_transient(exc: Exception) -> bool:
+    """False only for an error whose HTTP status is a 4xx other than 408
+    (request timeout) and 429 (too many requests): resending the same request
+    cannot change that answer."""
+    status = getattr(getattr(exc, "response", None), "status_code", None)
+    return not (isinstance(status, int) and 400 <= status < 500 and status not in (408, 429))
 
 
 def _http_post_json(url: str, payload: dict, timeout: float, headers: dict) -> dict:
@@ -140,16 +152,8 @@ class Gateway:
 
     # -- caching -----------------------------------------------------------
 
-    def _cache_path(self, key: CacheKey) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / key.filename()
-
-    def _cache_read(self, key: CacheKey) -> Optional[dict]:
+    def _cache_read(self, path: Path) -> Optional[dict]:
         """The cached response, or None on a miss; an undecodable file is a miss."""
-        path = self._cache_path(key)
-        if path is None:
-            return None
         try:
             with open(path, "rb") as fh:
                 response = json.loads(fh.read().decode("utf-8"))
@@ -157,16 +161,10 @@ class Gateway:
             return None
         return response if isinstance(response, dict) else None
 
-    def _cache_write(self, key: CacheKey, response: dict):
-        path = self._cache_path(key)
-        if path is None:
-            return
+    def _cache_write(self, path: Path, response: dict):
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(response, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
+        write_atomic(path, blob)
 
     # -- transport ---------------------------------------------------------
 
@@ -186,36 +184,37 @@ class Gateway:
         return headers
 
     def _request(self, cfg: BackendConfig, kind: str, payload: dict) -> dict:
-        key = CacheKey.for_request(cfg, kind, payload)
-        cached = self._cache_read(key)
-        if cached is not None:
-            return cached
+        path = None
+        if self.cache_dir is not None:
+            path = self.cache_dir / CacheKey.for_request(cfg, kind, payload).filename()
+            cached = self._cache_read(path)
+            if cached is not None:
+                return cached
         if cfg.endpoint.startswith("mock:"):
             response = self._mock_response(cfg, kind, payload)
         else:
             response = self._http_request(cfg, payload)
-        self._cache_write(key, response)
+        if path is not None:
+            self._cache_write(path, response)
         return response
 
     def _http_request(self, cfg: BackendConfig, payload: dict) -> dict:
-        attempts = cfg.max_retries + 1
-        last_error: Optional[Exception] = None
         sem = self._semaphore(cfg)
         body = dict(payload)
         body["model"] = cfg.model
-        for attempt in range(attempts):
+        for attempt in itertools.count(1):
             try:
                 with sem:
                     return self.transport(cfg.endpoint, body, cfg.timeout, self._headers())
-            except Exception as exc:  # noqa: BLE001 - every transport failure is retried
-                last_error = exc
-                if attempt < attempts - 1:
-                    time.sleep(self.retry_backoff * (attempt + 1))
-        raise GatewayError(
-            f"{cfg.role} request to {cfg.endpoint} failed after {attempts} attempts: "
-            f"{last_error}",
-            attempts=attempts,
-        )
+            except Exception as exc:  # noqa: BLE001 - a transport may raise anything
+                if attempt > cfg.max_retries or not _is_transient(exc):
+                    raise GatewayError(
+                        f"{cfg.role} request to {cfg.endpoint} failed after {attempt} "
+                        f"attempts: {exc}",
+                        attempts=attempt,
+                    ) from exc
+                delay = self.retry_backoff * 2 ** (attempt - 1)
+                time.sleep(random.uniform(delay / 2, delay))
 
     # -- mocks -------------------------------------------------------------
 

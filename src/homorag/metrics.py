@@ -29,7 +29,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i: i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
 def bleu_core(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> float:
@@ -49,7 +49,8 @@ def bleu_core(candidate: Sequence[str], reference: Sequence[str], max_n: int) ->
         else:
             cand_counts = _ngrams(candidate, n)
             ref_counts = _ngrams(reference, n)
-            matches = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
+            shared = cand_counts.keys() & ref_counts.keys()
+            matches = sum(min(cand_counts[gram], ref_counts[gram]) for gram in shared)
             precision = matches / total if matches > 0 else BLEU_EPSILON
         log_sum += math.log(precision)
     brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
@@ -61,30 +62,38 @@ def bleu4(candidate: str, reference: str) -> float:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    prev = [0] * (len(b) + 1)
-    for i in range(1, len(a) + 1):
-        cur = [0] * (len(b) + 1)
-        for j in range(1, len(b) + 1):
-            if a[i - 1] == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+    """Length of the longest common subsequence, by the bit-parallel
+    recurrence of Allison & Dix (1986) in Hyyrö's (2004) form. v holds one
+    row of the LCS table over b as its steps: bit j is 0 where the row rises
+    at position j. After every token of a the zero bits count the LCS."""
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        match = masks.get(token)
+        if match:
+            u = v & match
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
+
+
+def rouge_l_core(candidate: Sequence[str], reference: Sequence[str]) -> float:
+    """LCS-based F-measure with equal precision/recall weighting, over tokens."""
+    if not candidate or not reference:
+        return 0.0
+    lcs = _lcs_length(candidate, reference)
+    if lcs == 0:
+        return 0.0
+    precision = lcs / len(candidate)
+    recall = lcs / len(reference)
+    return 2.0 * precision * recall / (precision + recall)
 
 
 def rouge_l(candidate: str, reference: str) -> float:
     """LCS-based F-measure with equal precision/recall weighting."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
-    if not cand or not ref:
-        return 0.0
-    lcs = _lcs_length(cand, ref)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(cand)
-    recall = lcs / len(ref)
-    return 2.0 * precision * recall / (precision + recall)
+    return rouge_l_core(tokenize(candidate), tokenize(reference))
 
 
 class EntityLexicon:
@@ -101,22 +110,39 @@ class EntityLexicon:
             if not canonical:
                 raise ValueError(f"empty lexicon entry {form!r}")
             self._forms[tuple(canonical.split())] = canonical
-        self.max_len = max((len(k) for k in self._forms), default=0)
+        # first token -> the lengths of the forms it starts, longest first
+        lengths: dict[str, set[int]] = {}
+        for key in self._forms:
+            lengths.setdefault(key[0], set()).add(len(key))
+        self._spans = {token: sorted(s, reverse=True) for token, s in lengths.items()}
 
     def __len__(self) -> int:
         return len(self._forms)
-
-    def __contains__(self, key: tuple[str, ...]) -> bool:
-        return key in self._forms
-
-    def canonical(self, key: tuple[str, ...]) -> str:
-        return self._forms[key]
 
     def forms(self) -> list[str]:
         return sorted(self._forms.values())
 
     def merged(self, other: "EntityLexicon") -> "EntityLexicon":
         return EntityLexicon(self.forms() + other.forms())
+
+    def scan(self, tokens: Sequence[str]) -> list[str]:
+        """Greedy longest-match scan of tokens; matched forms in text order.
+        At each position only the lengths of forms starting with that token
+        are tried."""
+        forms, spans = self._forms, self._spans
+        entities: list[str] = []
+        i, n = 0, len(tokens)
+        while i < n:
+            for span in spans.get(tokens[i], ()):
+                if span <= n - i:
+                    form = forms.get(tuple(tokens[i: i + span]))
+                    if form is not None:
+                        entities.append(form)
+                        i += span
+                        break
+            else:
+                i += 1
+        return entities
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EntityLexicon":
@@ -135,32 +161,16 @@ class EntityLexicon:
 
 def extract_entities(text: str, lexicon: EntityLexicon) -> list[str]:
     """Greedy longest-match scan; matched forms appear in text order."""
-    tokens = tokenize(text)
-    entities: list[str] = []
-    i = 0
-    while i < len(tokens):
-        matched = False
-        for span in range(min(lexicon.max_len, len(tokens) - i), 0, -1):
-            key = tuple(tokens[i: i + span])
-            if key in lexicon:
-                entities.append(lexicon.canonical(key))
-                i += span
-                matched = True
-                break
-        if not matched:
-            i += 1
-    return entities
+    return lexicon.scan(tokenize(text))
 
 
 def e_bleu(candidate: str, reference: str, lexicon: EntityLexicon, n: int) -> float:
-    """BLEU with max order n over extracted entity sequences."""
+    """BLEU with max order n over extracted entity sequences; a candidate
+    without entities scores 0."""
     if n not in (2, 4):
         raise ValueError(f"entity BLEU order must be 2 or 4, got {n}")
     cand_entities = extract_entities(candidate, lexicon)
-    ref_entities = extract_entities(reference, lexicon)
-    if not cand_entities:
-        return 0.0
-    return bleu_core(cand_entities, ref_entities, n)
+    return bleu_core(cand_entities, extract_entities(reference, lexicon), n)
 
 
 @dataclass(frozen=True)
@@ -182,12 +192,16 @@ class RecordScores:
 
 
 def score_record(candidate: str, reference: str, lexicon: EntityLexicon) -> RecordScores:
+    """All metrics of one record from a single tokenization and entity scan
+    per side."""
+    cand, ref = tokenize(candidate), tokenize(reference)
+    cand_entities, ref_entities = lexicon.scan(cand), lexicon.scan(ref)
     return RecordScores(
-        bleu4=bleu4(candidate, reference),
-        rouge_l=rouge_l(candidate, reference),
-        e_bleu2=e_bleu(candidate, reference, lexicon, 2),
-        e_bleu4=e_bleu(candidate, reference, lexicon, 4),
-        ref_entities_empty=not extract_entities(reference, lexicon),
+        bleu4=bleu_core(cand, ref, 4),
+        rouge_l=rouge_l_core(cand, ref),
+        e_bleu2=bleu_core(cand_entities, ref_entities, 2),
+        e_bleu4=bleu_core(cand_entities, ref_entities, 4),
+        ref_entities_empty=not ref_entities,
     )
 
 

@@ -24,14 +24,9 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .annotations import AnnotationIndex
+from .atomic import write_atomic
 from .config import PipelineConfig, default_provenance
-from .denoise import (
-    assemble_context,
-    dbscan,
-    embed_values,
-    render_context,
-    select_anchor_clusters,
-)
+from .denoise import render_context, vertical_filter
 from .gateway import Gateway
 from .homology import (
     AMINO_ALPHABET,
@@ -199,6 +194,10 @@ def replay_context(artifact: dict) -> str:
     return ""
 
 
+def _pretty_json(data: dict) -> bytes:
+    return (json.dumps(data, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
 def safe_filename(record_id: str) -> str:
     return _SAFE_ID_RE.sub("_", record_id)
 
@@ -272,7 +271,10 @@ class Pipeline:
         if cfg.mode in ("vertical_only", "full_2d"):
             t2 = time.perf_counter()
             try:
-                vertical_pool, context = self._vertical(final_pool, artifact)
+                vertical_pool, context, warnings = vertical_filter(
+                    final_pool, self.gateway.embedder_handle(cfg.embedder), cfg.denoise
+                )
+                artifact.warnings.extend(warnings)
                 artifact.pools["vertical"] = vertical_pool.to_dict()
                 final_pool = vertical_pool
                 artifact.context = context
@@ -293,18 +295,6 @@ class Pipeline:
             artifact.errors.append({"stage": "generation", "error": f"{type(exc).__name__}: {exc}"})
         artifact.timings["generation"] = time.perf_counter() - t3
         return artifact
-
-    def _vertical(self, pool: EvidencePool, artifact: RunArtifact) -> tuple[EvidencePool, str]:
-        flat = pool.snippets()
-        if not flat:
-            return assemble_context(pool, [])
-        vectors = embed_values(
-            self.gateway.embedder_handle(self.config.embedder), [s.value for s in flat]
-        )
-        cluster_set = dbscan(vectors, self.config.denoise)
-        selection = select_anchor_clusters(cluster_set, pool, self.config.denoise.anchor_top_m)
-        artifact.warnings.extend(selection.warnings)
-        return assemble_context(pool, selection.indices)
 
     # -- batch ----------------------------------------------------------------
 
@@ -338,12 +328,8 @@ class Pipeline:
         def _one(record: QARecord) -> int:
             artifact = self.run_query(record)
             name = safe_filename(record.id)
-            (artifacts_dir / f"{name}.json").write_text(
-                artifact.canonical_json(), encoding="utf-8"
-            )
-            (timings_dir / f"{name}.json").write_text(
-                json.dumps(artifact.timings, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
+            write_atomic(artifacts_dir / f"{name}.json", artifact.canonical_json().encode())
+            write_atomic(timings_dir / f"{name}.json", _pretty_json(artifact.timings))
             return 1 if artifact.errors else 0
 
         if todo:
@@ -361,9 +347,7 @@ class Pipeline:
             "skipped_malformed": sorted(skipped_malformed),
             "records_with_errors": failures,
         }
-        (out / "summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_atomic(out / "summary.json", _pretty_json(summary))
         return summary
 
 

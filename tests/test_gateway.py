@@ -281,7 +281,88 @@ def test_corrupt_cache_file_is_a_miss_and_rewritten(tmp_path, corrupt):
     assert path.read_bytes() == good
 
 
+def test_no_cache_dir_builds_no_cache_key(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cache key built")
+
+    cfg = cfg_for("generator", "http://backend.test/gen", max_retries=0)
+    calls = []
+
+    def transport(url, payload, timeout, headers):
+        calls.append(payload["prompt"])
+        return {"text": "fresh"}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CacheKey, "for_request", refuse)
+        assert Gateway(transport=transport).generate(cfg, "prompt") == "fresh"
+        assert Gateway().embed(cfg_for("embedder", "mock:hash(dim=8)"), ["alpha"])
+    # with a cache directory the key is built, the answer written and then read
+    assert Gateway(cache_dir=tmp_path, transport=transport).generate(cfg, "prompt") == "fresh"
+    assert len(list(tmp_path.glob("*.json"))) == 1
+    assert Gateway(cache_dir=tmp_path, transport=transport).generate(cfg, "prompt") == "fresh"
+    assert calls == ["prompt", "prompt"]
+
+
 # -- retries -----------------------------------------------------------------------
+
+class HTTPStatusError(Exception):
+    """Shaped like requests.HTTPError: the status is on exc.response."""
+
+    def __init__(self, status):
+        super().__init__(f"HTTP {status}")
+        self.response = type("Response", (), {"status_code": status})()
+
+
+def failing_then_ok(*errors):
+    calls = []
+
+    def transport(url, payload, timeout, headers):
+        calls.append(payload)
+        if len(calls) <= len(errors):
+            raise errors[len(calls) - 1]
+        return {"text": "ok"}
+
+    return transport, calls
+
+
+@pytest.mark.parametrize("status", [400, 401, 404, 422])
+def test_client_error_is_not_retried(status):
+    transport, calls = failing_then_ok(HTTPStatusError(status))
+    gw = Gateway(transport=transport)
+    gw.retry_backoff = 0.0
+    cfg = cfg_for("generator", "http://backend.test/gen", max_retries=3)
+    with pytest.raises(GatewayError, match=f"after 1 attempts: HTTP {status}") as err:
+        gw.generate(cfg, "prompt")
+    assert err.value.attempts == 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("status", [408, 429, 500, 503])
+def test_transient_status_is_retried(status):
+    transport, calls = failing_then_ok(HTTPStatusError(status))
+    gw = Gateway(transport=transport)
+    gw.retry_backoff = 0.0
+    cfg = cfg_for("generator", "http://backend.test/gen", max_retries=2)
+    assert gw.generate(cfg, "prompt") == "ok"
+    assert len(calls) == 2
+
+
+def test_retry_waits_grow_exponentially_with_jitter(monkeypatch):
+    import homorag.gateway as gateway
+
+    waits, ranges = [], []
+    monkeypatch.setattr(gateway.time, "sleep", waits.append)
+    monkeypatch.setattr(gateway.random, "uniform", lambda lo, hi: ranges.append((lo, hi)) or hi)
+    transport, calls = failing_then_ok(*(HTTPStatusError(503) for _ in range(4)))
+    gw = Gateway(transport=transport)
+    gw.retry_backoff = 1.0
+    cfg = cfg_for("generator", "http://backend.test/gen", max_retries=3)
+    with pytest.raises(GatewayError, match="after 4 attempts") as err:
+        gw.generate(cfg, "prompt")
+    assert err.value.attempts == 4 and len(calls) == 4
+    assert ranges == [(0.5, 1.0), (1.0, 2.0), (2.0, 4.0)]  # jitter: half to all of the delay
+    assert waits == [1.0, 2.0, 4.0]
+
 
 def test_retry_budget_respected(tmp_path):
     attempts = []

@@ -1,13 +1,20 @@
 """Metric oracles: BLEU-4, ROUGE-L, entity extraction, entity BLEU, aggregation."""
 
+import json
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import FIXTURES, make_pipeline_config
+from homorag.config import MODES
 from homorag.metrics import (
     BLEU_EPSILON,
     EntityLexicon,
+    RecordScores,
+    _lcs_length,
     aggregate,
     bleu4,
     bleu_core,
@@ -19,6 +26,7 @@ from homorag.metrics import (
     score_record,
     tokenize,
 )
+from homorag.pipeline import Pipeline, run_eval
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +234,166 @@ def test_render_table_shape(lexicon):
     lines = text.splitlines()
     assert lines[0].split()[:3] == ["task", "n", "entity_empty"]
     assert lines[2].startswith("alpha")
+
+
+# -- equivalence with the straight-line references ------------------------------------------
+#
+# score_record tokenizes and entity-scans each side once, scans with a
+# first-token index and computes the LCS bit-parallel. The references below
+# are the plain versions: an O(n*m) LCS table, a greedy scan that tries every
+# span up to the longest form, and per-metric re-tokenization. Scores must be
+# equal with ==, not approximately.
+
+def reference_lcs_length(a, b):
+    prev = [0] * (len(b) + 1)
+    for i in range(1, len(a) + 1):
+        cur = [0] * (len(b) + 1)
+        for j in range(1, len(b) + 1):
+            if a[i - 1] == b[j - 1]:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+def reference_extract_entities(text, lexicon):
+    forms = {tuple(form.split()): form for form in lexicon.forms()}
+    max_len = max((len(k) for k in forms), default=0)
+    tokens = tokenize(text)
+    entities = []
+    i = 0
+    while i < len(tokens):
+        matched = False
+        for span in range(min(max_len, len(tokens) - i), 0, -1):
+            key = tuple(tokens[i: i + span])
+            if key in forms:
+                entities.append(forms[key])
+                i += span
+                matched = True
+                break
+        if not matched:
+            i += 1
+    return entities
+
+
+def reference_bleu(candidate, reference, max_n):
+    c, r = len(candidate), len(reference)
+    if c == 0 or r == 0:
+        return 0.0
+    max_n = max(1, min(max_n, c, r))
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        total = max(0, c - n + 1)
+        if total == 0:
+            precision = BLEU_EPSILON
+        else:
+            cand_counts = Counter(tuple(candidate[i: i + n]) for i in range(c - n + 1))
+            ref_counts = Counter(tuple(reference[i: i + n]) for i in range(r - n + 1))
+            matches = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
+            precision = matches / total if matches > 0 else BLEU_EPSILON
+        log_sum += math.log(precision)
+    brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return brevity * math.exp(log_sum / max_n)
+
+
+def reference_rouge_l(candidate, reference):
+    cand, ref = tokenize(candidate), tokenize(reference)
+    if not cand or not ref:
+        return 0.0
+    lcs = reference_lcs_length(cand, ref)
+    if lcs == 0:
+        return 0.0
+    precision = lcs / len(cand)
+    recall = lcs / len(ref)
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def reference_score_record(candidate, reference, lexicon):
+    def entity_bleu(n):
+        cand_entities = reference_extract_entities(candidate, lexicon)
+        if not cand_entities:
+            return 0.0
+        return reference_bleu(cand_entities, reference_extract_entities(reference, lexicon), n)
+
+    return RecordScores(
+        bleu4=reference_bleu(tokenize(candidate), tokenize(reference), 4),
+        rouge_l=reference_rouge_l(candidate, reference),
+        e_bleu2=entity_bleu(2),
+        e_bleu4=entity_bleu(4),
+        ref_entities_empty=not reference_extract_entities(reference, lexicon),
+    )
+
+
+# forms that overlap ("acid biosynthesis" / "fatty acid") and forms that are
+# prefixes of other forms ("fatty acid" / "fatty acid biosynthesis")
+OVERLAPPING_FORMS = [
+    "fatty acid", "fatty acid biosynthesis", "acid biosynthesis", "acid", "kinase",
+    "protein kinase", "protein kinase activity", "kinase activity", "ATP", "ATP binding",
+    "a b", "a b c d", "b c", "c", "(+)",
+]
+WORDS = ["fatty", "Fatty", "acid", "ACID", "biosynthesis", "protein", "kinase", "activity",
+         "atp", "binding", "a", "b", "c", "d", "the", ".", ",", "(", "+", ")", "x"]
+
+word_lists = st.lists(st.sampled_from(WORDS), max_size=40)
+random_forms = st.lists(
+    st.lists(st.sampled_from(WORDS[:12]), min_size=1, max_size=4).map(" ".join),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from("abcdefg"), max_size=150),
+       st.lists(st.sampled_from("abcdefg"), max_size=150))
+def test_bit_parallel_lcs_equals_dp_table(a, b):
+    assert _lcs_length(a, b) == reference_lcs_length(a, b)
+
+
+@settings(max_examples=300)
+@given(word_lists, random_forms)
+def test_indexed_scan_equals_greedy_scan(words, forms):
+    text = " ".join(words)
+    for lexicon in (EntityLexicon(OVERLAPPING_FORMS), EntityLexicon(forms)):
+        assert extract_entities(text, lexicon) == reference_extract_entities(text, lexicon)
+
+
+@settings(max_examples=300)
+@given(word_lists, word_lists, random_forms)
+def test_score_record_equals_reference(cand_words, ref_words, forms):
+    candidate, reference = " ".join(cand_words), " ".join(ref_words)
+    for lexicon in (EntityLexicon(OVERLAPPING_FORMS), EntityLexicon(forms)):
+        expected = reference_score_record(candidate, reference, lexicon)
+        assert score_record(candidate, reference, lexicon) == expected
+        assert (bleu4(candidate, reference), rouge_l(candidate, reference),
+                e_bleu(candidate, reference, lexicon, 2),
+                e_bleu(candidate, reference, lexicon, 4)) == (
+            expected.bleu4, expected.rouge_l, expected.e_bleu2, expected.e_bleu4)
+
+
+def test_overlapping_forms_take_the_longest_match_at_each_position():
+    lexicon = EntityLexicon(OVERLAPPING_FORMS)
+    text = "fatty acid biosynthesis then acid biosynthesis then fatty acid x a b c"
+    assert extract_entities(text, lexicon) == [
+        "fatty acid biosynthesis", "acid biosynthesis", "fatty acid", "a b", "c",
+    ]
+
+
+def test_run_eval_tables_over_fixture_batches_are_unchanged(index_dir, filter_model_path,
+                                                            tmp_path):
+    # eval_golden.txt holds the tables of the per-metric scoring code that
+    # tokenized each side once per metric; every artifact is also scored
+    # against the reference exactly
+    lexicon = EntityLexicon.from_file(FIXTURES / "lexicon.txt")
+    text = ""
+    for mode in MODES:
+        config = make_pipeline_config(index_dir, filter_model_path, tmp_path / mode, mode=mode)
+        out = tmp_path / mode / "run"
+        Pipeline(config).run_batch(FIXTURES / "qa_records.jsonl", out)
+        table = run_eval(out, lexicon)
+        text += f"{mode}\n{rows_to_jsonl(table)}{render_table(table)}\n"
+        for path in sorted((out / "artifacts").glob("*.json")):
+            data = json.loads(path.read_text(encoding="utf-8"))
+            answer, reference = data["answer"] or "", data["reference"]
+            assert score_record(answer, reference, lexicon) == \
+                reference_score_record(answer, reference, lexicon)
+    assert text == (FIXTURES / "eval_golden.txt").read_text(encoding="utf-8")

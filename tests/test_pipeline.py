@@ -232,6 +232,38 @@ def test_batch_changed_config_recomputes(index_dir_module, filter_model_module, 
     assert summary["skipped_existing"] == 0
 
 
+def files_under(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_batch_leaves_no_temp_files(index_dir_module, filter_model_module, tmp_path):
+    config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
+    Pipeline(config).run_batch(FIXTURES / "qa_records.jsonl", tmp_path / "run")
+    names = sorted(files_under(tmp_path))  # the run directory and the backend cache
+    assert len([n for n in names if n.startswith("run/artifacts/")]) == 10
+    assert len([n for n in names if n.startswith("run/timings/")]) == 10
+    assert "run/summary.json" in names and any(n.startswith("cache/") for n in names)
+    assert all(n.endswith(".json") and not n.rpartition("/")[2].startswith(".") for n in names)
+
+
+def test_failed_replace_keeps_earlier_outputs(index_dir_module, filter_model_module, tmp_path,
+                                              monkeypatch):
+    import os
+
+    config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
+    out = tmp_path / "run"
+    Pipeline(config).run_batch(FIXTURES / "qa_records.jsonl", out)
+    before = files_under(out)
+
+    def failing_replace(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="no space left"):
+        Pipeline(replace(config, mode="raw_only")).run_batch(FIXTURES / "qa_records.jsonl", out)
+    assert files_under(out) == before
+
+
 def test_batch_skips_malformed_records(index_dir_module, filter_model_module, tmp_path):
     dataset = tmp_path / "data.jsonl"
     good = (FIXTURES / "qa_records.jsonl").read_text(encoding="utf-8").splitlines()[:2]
@@ -545,6 +577,18 @@ def test_cli_denoise(index_dir_module, filter_model_module, tmp_path, capsys, re
     out = capsys.readouterr().out
     assert "Homolog 1 (Q55C17)" in out
     assert "Q3ZCD7" not in out
+
+
+def test_cli_denoise_matches_pipeline_vertical_stage(pipeline, tmp_path, capsys, records):
+    for record_id in ("case-r1", "func-r1", "dom-r2"):
+        artifact = pipeline.run_query(records[record_id])
+        pool_path = tmp_path / f"{record_id}.json"
+        pool_path.write_text(json.dumps(artifact.pools["horizontal"]), encoding="utf-8")
+        out_path = tmp_path / f"{record_id}-vertical.json"
+        rc = cli.main(["--offline", "denoise", "--pool", str(pool_path), "--out", str(out_path)])
+        assert rc == 0
+        assert capsys.readouterr().out == artifact.context + "\n"
+        assert json.loads(out_path.read_text(encoding="utf-8")) == artifact.pools["vertical"]
 
 
 def test_cli_denoise_accepts_handwritten_pool(tmp_path, capsys):
