@@ -15,13 +15,14 @@ from pathlib import Path
 
 from . import __version__
 from .annotations import AnnotationIndex, build_index, format_entry
+from .atomic import write_atomic
 from .config import DenoiseConfig, RetrievalConfig, load_config
 from .denoise import vertical_filter
 from .gateway import Gateway
 from .homology import (
     EvidencePool,
     QueryProtein,
-    parse_blast_tabular,
+    load_hits,
     rank_and_select,
     read_fasta_first,
 )
@@ -32,6 +33,7 @@ from .pipeline import (
     read_dataset,
     run_blast,
     run_eval,
+    safe_filename,
 )
 from .tag_filter import FilterModel, read_examples, train_filter, write_examples
 
@@ -77,9 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
     train = filt_sub.add_parser("train", help="train the tag classifier")
     train.add_argument("--examples", required=True, help="train jsonl, or a directory with train/test jsonl")
     train.add_argument("--out", required=True)
-    train.add_argument("--epochs", type=int, default=4)
-    train.add_argument("--learning-rate", type=float, default=1.0)
-    train.add_argument("--batch-size", type=int, default=64)
+    train.add_argument("--epochs", type=int, default=None, help="default: train.epochs")
+    train.add_argument("--learning-rate", type=float, default=None,
+                       help="default: train.learning_rate")
+    train.add_argument("--batch-size", type=int, default=None, help="default: train.batch_size")
     score = filt_sub.add_parser("score", help="score one (instruction, tag) pair")
     score.add_argument("--model", required=True)
     score.add_argument("--instruction", required=True)
@@ -135,10 +138,8 @@ def _cmd_index(args, config) -> int:
 def _cmd_retrieve(args, config) -> int:
     query_id, sequence = read_fasta_first(args.query)
     query = QueryProtein.from_sequence(sequence)
-    with open(args.hits, "r", encoding="utf-8") as fh:
-        hits = parse_blast_tabular(fh)
-    if any(h.query_id == query_id for h in hits):
-        hits = [h for h in hits if h.query_id == query_id]
+    by_query = load_hits(args.hits)
+    hits = by_query.get(query_id, [h for group in by_query.values() for h in group])
     rconfig = RetrievalConfig(
         top_k=args.k,
         identity_ceiling=args.identity_ceiling,
@@ -164,13 +165,9 @@ def _cmd_filter(args, config) -> int:
     if args.subcommand == "label":
         records = read_dataset(args.dataset)
         index = AnnotationIndex.load(args.index)
-        with open(args.hits, "r", encoding="utf-8") as fh:
-            hits_by_query: dict = {}
-            for hit in parse_blast_tabular(fh):
-                hits_by_query.setdefault(hit.query_id, []).append(hit)
         gateway = Gateway(cache_dir=config.paths.cache_dir)
         train_set, test_set = label_dataset(
-            config, records, index, hits_by_query, gateway, per_type=args.per_type
+            config, records, index, load_hits(args.hits), gateway, per_type=args.per_type
         )
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -189,11 +186,14 @@ def _cmd_filter(args, config) -> int:
             heldout = read_examples(test_path) if test_path.exists() else None
         else:
             train_set = read_examples(examples_path)
+        flags = {"epochs": args.epochs, "learning_rate": args.learning_rate,
+                 "batch_size": args.batch_size}
+        recipe = replace(config.train, **{k: v for k, v in flags.items() if v is not None})
         model = train_filter(
             train_set,
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            batch_size=args.batch_size,
+            epochs=recipe.epochs,
+            learning_rate=recipe.learning_rate,
+            batch_size=recipe.batch_size,
             seed=config.seed,
             heldout=heldout,
         )
@@ -257,9 +257,8 @@ def _cmd_qa(args, config) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{artifact.record_id}.json").write_text(
-            artifact.canonical_json(), encoding="utf-8"
-        )
+        write_atomic(out / f"{safe_filename(artifact.record_id)}.json",
+                     artifact.canonical_json().encode())
     print("=== context ===")
     print(artifact.context or "(empty)")
     print("=== answer ===")

@@ -107,13 +107,13 @@ class TrainConfig:
 
     epochs/batch_size follow the encoder recipe; the step size is larger
     because the desk-scale model is a linear classifier, not a transformer
-    (the encoder value is kept in ENCODER_RECIPE and run metadata).
+    (the encoder value is kept in ENCODER_RECIPE and run metadata). The
+    training seed is the top-level `seed`.
     """
 
     epochs: int = 4
     learning_rate: float = 1.0
     batch_size: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -188,7 +188,6 @@ def _default_backend(role: str) -> BackendConfig:
 class PipelineConfig:
     mode: str = "full_2d"
     seed: int = 0
-    max_workers: int = 4
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     ig: IgConfig = field(default_factory=IgConfig)
     denoise: DenoiseConfig = field(default_factory=DenoiseConfig)
@@ -203,8 +202,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
 
     def needs_filter_model(self) -> bool:
         return self.mode in ("horizontal_only", "full_2d")
@@ -236,7 +233,7 @@ _SECTION_TYPES = {
     "blast": BlastConfig,
     "paths": PipelinePaths,
 }
-_SCALAR_KEYS = ("mode", "seed", "max_workers")
+_SCALAR_KEYS = ("mode", "seed")
 _BACKEND_ROLES = ("scorer", "embedder", "generator")
 
 

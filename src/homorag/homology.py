@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from .annotations import AccessionNotFound, AnnotationSnippet
@@ -127,6 +128,16 @@ def parse_blast_tabular(stream: Iterable[str]) -> list[HomologHit]:
     return hits
 
 
+def load_hits(path: str | Path) -> dict[str, list[HomologHit]]:
+    """Parse a hits file into each query id's hits, in input order."""
+    with open(path, "r", encoding="utf-8") as fh:
+        hits = parse_blast_tabular(fh)
+    by_query: dict[str, list[HomologHit]] = {}
+    for hit in hits:
+        by_query.setdefault(hit.query_id, []).append(hit)
+    return by_query
+
+
 def exclude_self_hits(hits: list[HomologHit], query_length: int) -> list[HomologHit]:
     """Drop hits whose alignment length and identity count both equal the
     query length: those are the query itself leaking back out of the database."""
@@ -180,9 +191,6 @@ class Stage(str, enum.Enum):
     VERTICAL = "VERTICAL"
 
 
-_STAGE_ORDER = {Stage.RAW: 0, Stage.HORIZONTAL: 1, Stage.VERTICAL: 2}
-
-
 @dataclass(frozen=True)
 class PoolHomolog:
     rank: int
@@ -234,11 +242,6 @@ class EvidencePool:
 
     def snippet_multiset(self) -> Counter:
         return Counter(s.key() for s in self.snippets())
-
-    def with_stage(self, stage: Stage) -> "EvidencePool":
-        if _STAGE_ORDER[stage] < _STAGE_ORDER[self.stage]:
-            raise ValueError(f"stage cannot move backwards: {self.stage} -> {stage}")
-        return replace(self, stage=stage)
 
     def to_dict(self) -> dict:
         return {

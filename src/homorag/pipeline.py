@@ -34,7 +34,7 @@ from .homology import (
     HomologHit,
     Stage,
     assemble_raw_pool,
-    parse_blast_tabular,
+    load_hits,
     rank_and_select,
 )
 from .metrics import EntityLexicon, aggregate, render_table, rows_to_jsonl, score_record
@@ -83,6 +83,8 @@ class QARecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QARecord":
+        if not isinstance(d, dict):
+            raise ValueError(f"record must be a JSON object, got {type(d).__name__}")
         missing = [k for k in ("id", "instruction", "sequence", "task", "instruction_type") if k not in d]
         if missing:
             raise ValueError(f"record missing fields {missing}")
@@ -96,36 +98,27 @@ class QARecord:
         )
 
 
-def read_dataset(path: str | Path) -> list[QARecord]:
-    """Strict reader: any malformed line raises."""
+def read_dataset(path: str | Path, bad_lines: Optional[list] = None) -> list[QARecord]:
+    """Read a JSONL dataset, skipping blank lines. A malformed line raises
+    `DatasetError`; if `bad_lines` is given, its (id or `line-<n>`, error) is
+    appended there instead and reading goes on."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                records.append(QARecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, ValueError) as exc:
-                raise DatasetError(f"{path}:{line_no}: {exc}") from exc
-    return records
-
-
-def iter_dataset_lenient(path: str | Path):
-    """Yield (record | None, identifier, error | None) per non-blank line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+            data = None
             try:
                 data = json.loads(line)
-                yield QARecord.from_dict(data), str(data.get("id", f"line-{line_no}")), None
+                records.append(QARecord.from_dict(data))
             except (json.JSONDecodeError, ValueError) as exc:
+                if bad_lines is None:
+                    raise DatasetError(f"{path}:{line_no}: {exc}") from exc
                 ident = f"line-{line_no}"
-                try:
-                    ident = str(json.loads(line).get("id", ident))
-                except Exception:
-                    pass
-                yield None, ident, str(exc)
+                if isinstance(data, dict):
+                    ident = data.get("id", ident)
+                bad_lines.append((str(ident), str(exc)))
+    return records
 
 
 def build_prompt(record: QARecord, context: str) -> str:
@@ -202,6 +195,23 @@ def safe_filename(record_id: str) -> str:
     return _SAFE_ID_RE.sub("_", record_id)
 
 
+def _is_done(path: Path, digest: str) -> bool:
+    """Whether path holds a readable artifact made under the config digest."""
+    try:
+        existing = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        return False
+    return isinstance(existing, dict) and existing.get("config_digest") == digest
+
+
+def _batch_workers(config: PipelineConfig) -> int:
+    """Threads for `run_batch`: they pay off only while queries wait on a
+    remote backend, and the gateway lets `max_in_flight` requests through."""
+    remote = [b.max_in_flight for b in (config.embedder, config.generator)
+              if not b.endpoint.startswith("mock:")]
+    return max(remote, default=1)
+
+
 class Pipeline:
     """Loads the shared resources for a config and executes queries."""
 
@@ -216,11 +226,7 @@ class Pipeline:
         self.filter_model: Optional[FilterModel] = None
         if config.needs_filter_model():
             self.filter_model = FilterModel.load(config.paths.filter_model)
-        self.hits_by_query: dict[str, list[HomologHit]] = {}
-        if config.paths.hits:
-            with open(config.paths.hits, "r", encoding="utf-8") as fh:
-                for hit in parse_blast_tabular(fh):
-                    self.hits_by_query.setdefault(hit.query_id, []).append(hit)
+        self.hits_by_query = load_hits(config.paths.hits) if config.paths.hits else {}
 
     # -- single query --------------------------------------------------------
 
@@ -305,26 +311,16 @@ class Pipeline:
         artifacts_dir.mkdir(parents=True, exist_ok=True)
         timings_dir.mkdir(parents=True, exist_ok=True)
 
-        todo: list[QARecord] = []
-        skipped_malformed: list[str] = []
-        skipped_existing = 0
-        for record, ident, error in iter_dataset_lenient(dataset_path):
-            if record is None:
-                logger.warning("skipping malformed record %s: %s", ident, error)
-                skipped_malformed.append(ident)
-                continue
-            path = artifacts_dir / f"{safe_filename(record.id)}.json"
-            if path.exists():
-                try:
-                    existing = json.loads(path.read_text(encoding="utf-8"))
-                except json.JSONDecodeError:
-                    existing = {}
-                if existing.get("config_digest") == self.digest:
-                    skipped_existing += 1
-                    continue
-            todo.append(record)
+        bad_lines: list[tuple[str, str]] = []
+        records = read_dataset(dataset_path, bad_lines)
+        for ident, error in bad_lines:
+            logger.warning("skipping malformed record %s: %s", ident, error)
+        todo = [
+            r for r in records
+            if not _is_done(artifacts_dir / f"{safe_filename(r.id)}.json", self.digest)
+        ]
+        skipped_existing = len(records) - len(todo)
 
-        failures = 0
         def _one(record: QARecord) -> int:
             artifact = self.run_query(record)
             name = safe_filename(record.id)
@@ -332,19 +328,18 @@ class Pipeline:
             write_atomic(timings_dir / f"{name}.json", _pretty_json(artifact.timings))
             return 1 if artifact.errors else 0
 
-        if todo:
-            with ThreadPoolExecutor(max_workers=self.config.max_workers) as pool:
-                failures = sum(pool.map(_one, todo))
+        with ThreadPoolExecutor(max_workers=_batch_workers(self.config)) as pool:
+            failures = sum(pool.map(_one, todo))
 
         summary = {
             "config_digest": self.digest,
             "mode": self.config.mode,
             "seed": self.config.seed,
             "defaults": default_provenance(),
-            "total_lines": len(todo) + skipped_existing + len(skipped_malformed),
+            "total_lines": len(records) + len(bad_lines),
             "processed": len(todo),
             "skipped_existing": skipped_existing,
-            "skipped_malformed": sorted(skipped_malformed),
+            "skipped_malformed": sorted(ident for ident, _ in bad_lines),
             "records_with_errors": failures,
         }
         write_atomic(out / "summary.json", _pretty_json(summary))

@@ -33,6 +33,7 @@ from .homology import EvidencePool, PoolHomolog, Stage
 PROB_FLOOR = 1e-9
 FEATURE_DIM = 2 ** 18
 MODEL_FORMAT = "homorag-filter/1"
+TRAIN_PARTS, TEST_PARTS = 4, 1  # record split of a distillation set
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_END_RE = re.compile(r"[.!?]+(?=\s|$)")
@@ -247,8 +248,6 @@ def build_distillation_set(
     ig_fn: Callable,
     *,
     per_type: int = 100,
-    train_parts: int = 4,
-    test_parts: int = 1,
     tau: float = 0.01,
     seed: int = 0,
 ) -> tuple[list[DistillationExample], list[DistillationExample]]:
@@ -258,7 +257,7 @@ def build_distillation_set(
     `ig_fn(record, snippet)` scores one snippet's gain. Sampling takes
     `per_type` records uniformly per instruction type (all of them when a
     type is smaller), then splits records type-stratified in
-    train_parts:test_parts proportion. Deterministic under a fixed seed.
+    TRAIN_PARTS:TEST_PARTS proportion. Deterministic under a fixed seed.
     """
     import random as _random
 
@@ -276,7 +275,7 @@ def build_distillation_set(
         group = by_type[itype]
         sampled = group if len(group) <= per_type else rng.sample(group, per_type)
         shuffled = rng.sample(sampled, len(sampled))
-        n_train = len(shuffled) * train_parts // (train_parts + test_parts)
+        n_train = len(shuffled) * TRAIN_PARTS // (TRAIN_PARTS + TEST_PARTS)
         for pos, rec in enumerate(shuffled):
             sink = train if pos < n_train else test
             for snippet in snippet_source(rec):
@@ -347,13 +346,11 @@ class FilterModel:
 
     def __init__(
         self,
-        feature_dim: int = FEATURE_DIM,
         weights: Optional[np.ndarray] = None,
         bias: float = 0.0,
         metadata: Optional[dict] = None,
     ):
-        self.feature_dim = feature_dim
-        self.weights = weights if weights is not None else np.zeros(feature_dim)
+        self.weights = weights if weights is not None else np.zeros(FEATURE_DIM)
         self.bias = bias
         self.metadata = metadata or {}
 
@@ -379,7 +376,7 @@ class FilterModel:
         nz = np.nonzero(self.weights)[0]
         payload = {
             "format": MODEL_FORMAT,
-            "feature_dim": self.feature_dim,
+            "feature_dim": FEATURE_DIM,
             "bias": self.bias,
             "weights": {str(int(i)): float(self.weights[i]) for i in nz},
             "metadata": self.metadata,
@@ -393,11 +390,15 @@ class FilterModel:
             payload = json.load(fh)
         if payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {payload.get('format')!r}")
-        weights = np.zeros(payload["feature_dim"])
+        if payload["feature_dim"] != FEATURE_DIM:
+            raise ValueError(
+                f"model feature_dim {payload['feature_dim']} does not match the "
+                f"{FEATURE_DIM} hashed features this version scores"
+            )
+        weights = np.zeros(FEATURE_DIM)
         for idx, val in payload["weights"].items():
             weights[int(idx)] = val
         return cls(
-            feature_dim=payload["feature_dim"],
             weights=weights,
             bias=payload["bias"],
             metadata=payload.get("metadata", {}),

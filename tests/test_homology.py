@@ -17,6 +17,7 @@ from homorag.homology import (
     apply_identity_ceiling,
     assemble_raw_pool,
     exclude_self_hits,
+    load_hits,
     parse_blast_tabular,
     rank_and_select,
     read_fasta_first,
@@ -109,6 +110,26 @@ def test_parse_preserves_order_and_skips_comments():
         "q1\tA11111\t60.00\t100\t60\t1e-9\t150\n"
     ))
     assert [h.subject_accession for h in hits] == ["B11111", "A11111"]
+
+
+def test_load_hits_groups_by_query_in_input_order(tmp_path):
+    path = tmp_path / "hits.tsv"
+    path.write_text(
+        "# interleaved queries\n"
+        "q2\tC11111\t70.00\t100\t70\t1e-7\t120\n"
+        "q1\tB11111\t50.00\t100\t50\t1e-5\t100\n"
+        "q2\tA11111\t60.00\t100\t60\t1e-9\t150\n"
+        "q1\tA11111\t60.00\t100\t60\t1e-9\t150\n"
+        "q2\tB11111\t50.00\t100\t50\t1e-5\t100\n",
+        encoding="utf-8",
+    )
+    by_query = load_hits(path)
+    assert list(by_query) == ["q2", "q1"]
+    assert [h.subject_accession for h in by_query["q1"]] == ["B11111", "A11111"]
+    assert [h.subject_accession for h in by_query["q2"]] == ["C11111", "A11111", "B11111"]
+    assert all(h.query_id == q for q, hits in by_query.items() for h in hits)
+    (tmp_path / "empty.tsv").write_text("", encoding="utf-8")
+    assert load_hits(tmp_path / "empty.tsv") == {}
 
 
 # -- ranking ---------------------------------------------------------------------
@@ -302,12 +323,6 @@ def test_pool_requires_contiguous_ranks():
     hit = make_hit()
     with pytest.raises(ValueError, match="contiguous"):
         EvidencePool(stage=Stage.RAW, homologs=(PoolHomolog(rank=2, hit=hit, snippets=()),))
-
-
-def test_pool_stage_never_moves_backwards():
-    pool = EvidencePool(stage=Stage.HORIZONTAL, homologs=())
-    with pytest.raises(ValueError, match="backwards"):
-        pool.with_stage(Stage.RAW)
 
 
 def test_pool_round_trips_through_dict(annotation_index):

@@ -3,6 +3,8 @@
 import json
 import os
 import stat
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from homorag import cli
 from homorag.annotations import AnnotationIndex
 from homorag.config import BackendConfig, ConfigError, PipelineConfig, load_config
 from homorag.gateway import ECHO_EMPTY, Gateway
-from homorag.homology import assemble_raw_pool, parse_blast_tabular, rank_and_select
+from homorag.homology import assemble_raw_pool, load_hits, rank_and_select
 from homorag.metrics import EntityLexicon
 from homorag.pipeline import (
     BlastInvocationError,
@@ -29,11 +31,13 @@ from homorag.pipeline import (
     run_eval,
 )
 from homorag.tag_filter import (
+    FilterModel,
     build_distillation_set,
     make_query_context,
     segment_ig,
     snippet_document,
     split_fragments,
+    write_examples,
 )
 
 
@@ -96,6 +100,21 @@ def test_read_dataset_strict_raises(tmp_path):
     bad.write_text('{"id": "a"}\n', encoding="utf-8")
     with pytest.raises(DatasetError, match="missing fields"):
         read_dataset(bad)
+
+
+def test_read_dataset_collects_bad_lines(tmp_path):
+    good = (FIXTURES / "qa_records.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text("\n".join([
+        "5", good, "[1, 2]", "", "{not json",
+        '{"id": "bad-1", "instruction": "x", "sequence": "AC1", "task": "t", "instruction_type": "i"}',
+    ]) + "\n", encoding="utf-8")
+    bad_lines = []
+    assert [r.id for r in read_dataset(dataset, bad_lines)] == ["case-r1"]
+    assert [ident for ident, _ in bad_lines] == ["line-1", "line-3", "line-5", "bad-1"]
+    assert "JSON object" in bad_lines[0][1] and "invalid residues" in bad_lines[3][1]
+    with pytest.raises(DatasetError, match=":1: record must be a JSON object"):
+        read_dataset(dataset)
 
 
 # -- run_query ----------------------------------------------------------------------
@@ -220,6 +239,62 @@ def test_batch_is_resumable(index_dir_module, filter_model_module, tmp_path):
     summary3 = pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
     assert summary3["processed"] == 3
     assert summary3["skipped_existing"] == 7
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{not utf-8}\n", b'[{"config_digest": "x"}]\n'],
+                         ids=["not-utf8", "json-array"])
+def test_batch_reruns_unreadable_existing_artifact(index_dir_module, filter_model_module,
+                                                   tmp_path, content):
+    config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
+    out = tmp_path / "run"
+    pipe = Pipeline(config)
+    pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
+    target = out / "artifacts" / "case-r1.json"
+    good = target.read_bytes()
+    target.write_bytes(content)
+    summary = pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
+    assert (summary["processed"], summary["skipped_existing"]) == (1, 9)
+    assert target.read_bytes() == good
+
+
+def _batch_overlap(pipe, out):
+    """Run the fixture batch; return the most `run_query` calls in progress at once."""
+    lock = threading.Lock()
+    in_flight = [0, 0]  # now, most
+    run_query = pipe.run_query
+
+    def counted(record):
+        with lock:
+            in_flight[0] += 1
+            in_flight[1] = max(in_flight)
+        try:
+            time.sleep(0.01)  # long enough for any other worker to start a query
+            return run_query(record)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    pipe.run_query = counted
+    summary = pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
+    assert summary["processed"] == 10 and summary["records_with_errors"] == 0
+    return in_flight[1]
+
+
+def test_batch_with_mock_backends_runs_one_query_at_a_time(index_dir_module, filter_model_module,
+                                                           tmp_path):
+    config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
+    assert _batch_overlap(Pipeline(config), tmp_path / "run") == 1
+
+
+def test_batch_with_remote_generator_overlaps_up_to_its_in_flight_limit(
+        index_dir_module, filter_model_module, tmp_path):
+    def transport(url, payload, timeout, headers):
+        return {"text": "remote answer"}
+
+    config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
+    config = replace(config, generator=BackendConfig(
+        role="generator", endpoint="http://generator.test/generate", max_in_flight=3))
+    assert 1 < _batch_overlap(Pipeline(config, transport=transport), tmp_path / "run") <= 3
 
 
 def test_batch_changed_config_recomputes(index_dir_module, filter_model_module, tmp_path):
@@ -392,10 +467,7 @@ def test_label_dataset_sends_each_scorer_request_once_per_record(index_dir_modul
         role="scorer", endpoint="http://scorer.test/score", max_retries=0))
     records = read_dataset(FIXTURES / "label_records.jsonl")
     index = AnnotationIndex.load(index_dir_module)
-    hits_by_query = {}
-    with open(FIXTURES / "hits_fixture.tsv", encoding="utf-8") as fh:
-        for hit in parse_blast_tabular(fh):
-            hits_by_query.setdefault(hit.query_id, []).append(hit)
+    hits_by_query = load_hits(FIXTURES / "hits_fixture.tsv")
 
     gateway, sent = _scorer_counting_gateway()
     labelled = label_dataset(config, records, index, hits_by_query, gateway)
@@ -565,6 +637,28 @@ def test_cli_filter_label_train_score(index_dir_module, tmp_path, capsys):
     assert 0.0 <= value <= 1.0
 
 
+def test_cli_filter_train_reads_train_section(tmp_path):
+    from conftest import PIPELINE_TYPES, make_synthetic_examples
+
+    examples = tmp_path / "train.jsonl"
+    write_examples(examples, make_synthetic_examples(PIPELINE_TYPES, per_type=10, seed=3))
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text(yaml.safe_dump({"train": {"epochs": 2, "learning_rate": 0.5}}),
+                           encoding="utf-8")
+    train = ["--config", str(config_path), "filter", "train", "--examples", str(examples)]
+    assert cli.main(train + ["--out", str(tmp_path / "from_config.json")]) == 0
+    assert cli.main(train + ["--out", str(tmp_path / "flags.json"),
+                             "--epochs", "3", "--batch-size", "16"]) == 0
+
+    from_config = FilterModel.load(tmp_path / "from_config.json").metadata
+    assert (from_config["epochs"], from_config["learning_rate"], from_config["batch_size"]) \
+        == (2, 0.5, 64)
+    assert len(from_config["train_loss_per_epoch"]) == 3
+    flags = FilterModel.load(tmp_path / "flags.json").metadata
+    assert (flags["epochs"], flags["learning_rate"], flags["batch_size"]) == (3, 0.5, 16)
+    assert len(flags["train_loss_per_epoch"]) == 4
+
+
 def test_cli_denoise(index_dir_module, filter_model_module, tmp_path, capsys, records):
     config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
     pipe = Pipeline(config)
@@ -642,6 +736,23 @@ def test_cli_qa_run_batch_eval(index_dir_module, filter_model_module, tmp_path, 
     assert "Catalytic Activity" in capsys.readouterr().out
 
 
+def test_cli_qa_run_keeps_artifact_inside_out(index_dir_module, filter_model_module, tmp_path,
+                                             capsys):
+    record = json.loads((FIXTURES / "qa_records.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(json.dumps(dict(record, id="../escaped")) + "\n", encoding="utf-8")
+    config_path = write_cli_config(tmp_path / "config.yaml", index_dir_module,
+                                   filter_model_module, tmp_path / "cache")
+    out = tmp_path / "deep" / "single"
+    rc = cli.main(["--config", str(config_path), "qa", "run",
+                   "--dataset", str(dataset), "--id", "../escaped", "--out", str(out)])
+    assert rc == 0
+    assert not (tmp_path / "deep" / "escaped.json").exists()
+    assert [p.name for p in out.iterdir()] == [".._escaped.json"]
+    assert json.loads((out / ".._escaped.json").read_text(encoding="utf-8"))["record_id"] \
+        == "../escaped"
+
+
 def test_cli_blast_missing_binary(capsys):
     rc = cli.main(["blast", "run", "--query", str(FIXTURES / "query.fasta"),
                    "--out", "unused.tsv"])
@@ -674,6 +785,15 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     config_path = tmp_path / "c.yaml"
     config_path.write_text(yaml.safe_dump({"retrieval": {"topk": 3}}), encoding="utf-8")
     with pytest.raises(ConfigError, match="unknown key 'retrieval.topk'"):
+        load_config(config_path)
+
+
+@pytest.mark.parametrize("payload", [{"max_workers": 4}, {"train": {"seed": 0}}],
+                         ids=["max_workers", "train.seed"])
+def test_load_config_rejects_removed_keys(tmp_path, payload):
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown"):
         load_config(config_path)
 
 

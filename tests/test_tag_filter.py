@@ -1,5 +1,6 @@
 """Information-gain machinery and the tag relevance classifier."""
 
+import json
 import math
 import random
 import re
@@ -431,6 +432,16 @@ def test_load_rejects_unknown_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "other/9", "feature_dim": 4, "bias": 0, "weights": {}}')
     with pytest.raises(ValueError, match="unsupported model format"):
+        FilterModel.load(path)
+
+
+def test_load_rejects_other_feature_dim(tmp_path, trained_model):
+    path = tmp_path / "model.json"
+    trained_model.save(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["feature_dim"] = 100
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"feature_dim 100 .* {FEATURE_DIM}"):
         FilterModel.load(path)
 
 
