@@ -17,12 +17,12 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from conftest import PIPELINE_TYPES, make_pipeline_config, make_synthetic_examples, split_examples  # noqa: E402
 from homorag.annotations import build_index  # noqa: E402
+from homorag.config import MODE_STAGES  # noqa: E402
 from homorag.metrics import EntityLexicon, render_table  # noqa: E402
 from homorag.pipeline import Pipeline, run_eval  # noqa: E402
 from homorag.tag_filter import train_filter  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures"
-MODES = ("raw_only", "horizontal_only", "vertical_only", "full_2d")
 
 
 def main():
@@ -41,7 +41,7 @@ def main():
     model.save(model_path)
 
     lexicon = EntityLexicon.from_file(FIXTURES / "lexicon.txt")
-    for mode in MODES:
+    for mode in MODE_STAGES:
         config = make_pipeline_config(index_dir, model_path, work / mode, mode=mode)
         out_dir = work / mode / "run"
         summary = Pipeline(config).run_batch(FIXTURES / "qa_records.jsonl", out_dir)

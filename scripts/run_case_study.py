@@ -17,6 +17,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from conftest import PIPELINE_TYPES, make_pipeline_config, make_synthetic_examples, split_examples  # noqa: E402
 from homorag.annotations import build_index  # noqa: E402
+from homorag.config import MODE_STAGES  # noqa: E402
 from homorag.homology import EvidencePool  # noqa: E402
 from homorag.pipeline import Pipeline, read_dataset  # noqa: E402
 from homorag.tag_filter import train_filter  # noqa: E402
@@ -37,8 +38,7 @@ def show_pool(title, pool_dict):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--record-id", default="case-r1")
-    parser.add_argument("--mode", default="full_2d",
-                        choices=("raw_only", "horizontal_only", "vertical_only", "full_2d"))
+    parser.add_argument("--mode", default="full_2d", choices=tuple(MODE_STAGES))
     args = parser.parse_args()
 
     work = Path(tempfile.mkdtemp(prefix="case-study-"))
@@ -66,7 +66,7 @@ def main():
         print(f"  {rank}. {hit.subject_accession}  e={hit.e_value:g}  "
               f"identity={hit.percent_identity}%")
 
-    for stage in ("raw", "horizontal", "vertical"):
+    for stage in ("raw", *MODE_STAGES[args.mode]):
         if stage in artifact.pools:
             show_pool(f"{stage} pool", artifact.pools[stage])
 

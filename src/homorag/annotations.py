@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
+from .atomic import write_atomic
+
 INDEX_FORMAT = "homorag-index/1"
 GO_FORMAT = "homorag-go/1"
 
@@ -380,50 +382,56 @@ class AnnotationIndex:
     def save(self, out_dir: str | Path):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "records.tsv", "w", encoding="utf-8") as fh:
-            fh.write(f"#{INDEX_FORMAT}\n")
-            fh.write(f"#dat\t{self.dat_path}\n")
-            fh.write(f"#count\t{self.record_count}\n")
-            for acc in sorted(self.records):
-                offset, length = self.records[acc]
-                fh.write(f"{acc}\t{offset}\t{length}\n")
-        with open(out / "go_terms.tsv", "w", encoding="utf-8") as fh:
-            fh.write(f"#{GO_FORMAT}\n")
-            for gid in sorted(self.go_terms):
-                term = self.go_terms[gid]
-                fh.write(f"{term.id}\t{term.namespace}\t{term.name}\n")
+        rows = [f"#{INDEX_FORMAT}\n#dat\t{self.dat_path}\n#count\t{self.record_count}\n"]
+        for acc in sorted(self.records):
+            offset, length = self.records[acc]
+            rows.append(f"{acc}\t{offset}\t{length}\n")
+        write_atomic(out / "records.tsv", "".join(rows).encode("utf-8"))
+        rows = [f"#{GO_FORMAT}\n"]
+        for gid in sorted(self.go_terms):
+            term = self.go_terms[gid]
+            rows.append(f"{term.id}\t{term.namespace}\t{term.name}\n")
+        write_atomic(out / "go_terms.tsv", "".join(rows).encode("utf-8"))
 
     @classmethod
     def load(cls, index_dir: str | Path) -> "AnnotationIndex":
+        """Read a saved index; a malformed row raises IndexBuildError naming path:line."""
         index_dir = Path(index_dir)
         records: dict[str, tuple[int, int]] = {}
         dat_path = ""
         count = 0
-        with open(index_dir / "records.tsv", "r", encoding="utf-8") as fh:
+        path = index_dir / "records.tsv"
+        with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
             if header != f"#{INDEX_FORMAT}":
                 raise IndexBuildError(f"unsupported index format header {header!r}")
-            for line in fh:
+            for line_no, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
-                if line.startswith("#dat\t"):
-                    dat_path = line.split("\t", 1)[1]
-                elif line.startswith("#count\t"):
-                    count = int(line.split("\t", 1)[1])
-                elif line:
-                    acc, off, length = line.split("\t")
-                    records[acc] = (int(off), int(length))
+                try:
+                    if line.startswith("#dat\t"):
+                        dat_path = line.split("\t", 1)[1]
+                    elif line.startswith("#count\t"):
+                        count = int(line.split("\t", 1)[1])
+                    elif line:
+                        acc, off, length = line.split("\t")
+                        records[acc] = (int(off), int(length))
+                except ValueError as exc:
+                    raise IndexBuildError(f"{path}:{line_no}: malformed row {line!r}") from exc
         go_terms: dict[str, GoTerm] = {}
-        go_path = index_dir / "go_terms.tsv"
-        if go_path.exists():
-            with open(go_path, "r", encoding="utf-8") as fh:
+        path = index_dir / "go_terms.tsv"
+        if path.exists():
+            with open(path, "r", encoding="utf-8") as fh:
                 header = fh.readline().rstrip("\n")
                 if header != f"#{GO_FORMAT}":
                     raise IndexBuildError(f"unsupported GO format header {header!r}")
-                for line in fh:
+                for line_no, line in enumerate(fh, start=2):
                     line = line.rstrip("\n")
-                    if line:
-                        gid, namespace, name = line.split("\t", 2)
-                        go_terms[gid] = GoTerm(id=gid, name=name, namespace=namespace)
+                    try:
+                        if line:
+                            gid, namespace, name = line.split("\t", 2)
+                            go_terms[gid] = GoTerm(id=gid, name=name, namespace=namespace)
+                    except ValueError as exc:
+                        raise IndexBuildError(f"{path}:{line_no}: {exc}") from exc
         return cls(dat_path=dat_path, records=records, go_terms=go_terms, record_count=count)
 
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
 from .annotations import AnnotationIndex, build_index, format_entry
 from .atomic import write_atomic
-from .config import DenoiseConfig, RetrievalConfig, load_config
+from .config import load_config
 from .denoise import vertical_filter
 from .gateway import Gateway
 from .homology import (
@@ -30,6 +30,7 @@ from .metrics import EntityLexicon, render_table
 from .pipeline import (
     Pipeline,
     label_dataset,
+    pretty_json,
     read_dataset,
     run_blast,
     run_eval,
@@ -63,9 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
     retrieve = sub.add_parser("retrieve", help="rank and filter precomputed hits")
     retrieve.add_argument("--query", required=True, help="query FASTA")
     retrieve.add_argument("--hits", required=True, help="7-column tabular hits")
-    retrieve.add_argument("--k", type=int, default=3)
-    retrieve.add_argument("--identity-ceiling", type=float, default=None)
-    retrieve.add_argument("--keep-self", action="store_true")
+    retrieve.add_argument("--k", dest="top_k", type=int, default=None,
+                          help="default: retrieval.top_k")
+    retrieve.add_argument("--identity-ceiling", type=float, default=None,
+                          help="default: retrieval.identity_ceiling")
+    retrieve.add_argument("--keep-self", dest="exclude_self", action="store_false", default=None,
+                          help="keep self hits (default: retrieval.exclude_self)")
     retrieve.add_argument("--out", default=None)
 
     filt = sub.add_parser("filter", help="tag relevance filter operations")
@@ -90,10 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     denoise_p = sub.add_parser("denoise", help="cluster a pool and keep anchor clusters")
     denoise_p.add_argument("--pool", required=True, help="serialized pool JSON")
-    denoise_p.add_argument("--eps", type=float, default=0.35)
-    denoise_p.add_argument("--min-pts", type=int, default=2)
-    denoise_p.add_argument("--anchor-top", type=int, default=1)
-    denoise_p.add_argument("--metric", choices=("cosine", "euclidean"), default="cosine")
+    denoise_p.add_argument("--eps", type=float, default=None, help="default: denoise.eps")
+    denoise_p.add_argument("--min-pts", type=int, default=None, help="default: denoise.min_pts")
+    denoise_p.add_argument("--anchor-top", dest="anchor_top_m", type=int, default=None,
+                           help="default: denoise.anchor_top_m")
+    denoise_p.add_argument("--metric", default=None, help="default: denoise.metric")
     denoise_p.add_argument("--out", default=None)
 
     qa = sub.add_parser("qa", help="end-to-end question answering")
@@ -120,6 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_flags(section, args):
+    """`section` with each field whose flag (same dest name) was given set to
+    the flag's value; `replace` reruns the section's checks on those values."""
+    given = {f.name: getattr(args, f.name) for f in fields(section)
+             if getattr(args, f.name, None) is not None}
+    return replace(section, **given)
+
+
 def _cmd_index(args, config) -> int:
     if args.subcommand == "build":
         index = build_index(args.dat, args.go, args.out)
@@ -140,12 +153,8 @@ def _cmd_retrieve(args, config) -> int:
     query = QueryProtein.from_sequence(sequence)
     by_query = load_hits(args.hits)
     hits = by_query.get(query_id, [h for group in by_query.values() for h in group])
-    rconfig = RetrievalConfig(
-        top_k=args.k,
-        identity_ceiling=args.identity_ceiling,
-        exclude_self=not args.keep_self,
-    )
-    selected = rank_and_select(hits, rconfig, query_length=query.length)
+    selected = rank_and_select(hits, _with_flags(config.retrieval, args),
+                               query_length=query.length)
     lines = [
         "\t".join(str(v) for v in (
             h.query_id, h.subject_accession, h.percent_identity, h.alignment_length,
@@ -155,7 +164,7 @@ def _cmd_retrieve(args, config) -> int:
     ]
     output = "\n".join(lines)
     if args.out:
-        Path(args.out).write_text(output + ("\n" if output else ""), encoding="utf-8")
+        write_atomic(Path(args.out), (output + ("\n" if output else "")).encode("utf-8"))
     else:
         print(output)
     return 0
@@ -186,17 +195,8 @@ def _cmd_filter(args, config) -> int:
             heldout = read_examples(test_path) if test_path.exists() else None
         else:
             train_set = read_examples(examples_path)
-        flags = {"epochs": args.epochs, "learning_rate": args.learning_rate,
-                 "batch_size": args.batch_size}
-        recipe = replace(config.train, **{k: v for k, v in flags.items() if v is not None})
-        model = train_filter(
-            train_set,
-            epochs=recipe.epochs,
-            learning_rate=recipe.learning_rate,
-            batch_size=recipe.batch_size,
-            seed=config.seed,
-            heldout=heldout,
-        )
+        model = train_filter(train_set, **asdict(_with_flags(config.train, args)),
+                             seed=config.seed, heldout=heldout)
         model.save(args.out)
         loss = model.metadata["train_loss_per_epoch"][-1]
         msg = f"trained on {len(train_set)} examples; final train loss {loss:.4f}"
@@ -211,19 +211,14 @@ def _cmd_filter(args, config) -> int:
 
 def _cmd_denoise(args, config) -> int:
     pool = EvidencePool.from_dict(json.loads(Path(args.pool).read_text(encoding="utf-8")))
-    dconfig = DenoiseConfig(
-        eps=args.eps, min_pts=args.min_pts, metric=args.metric, anchor_top_m=args.anchor_top
-    )
     gateway = Gateway(cache_dir=config.paths.cache_dir)
     vertical, context, warnings = vertical_filter(
-        pool, gateway.embedder_handle(config.embedder), dconfig
+        pool, gateway.embedder_handle(config.embedder), _with_flags(config.denoise, args)
     )
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(vertical.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_atomic(Path(args.out), pretty_json(vertical.to_dict()).encode("utf-8"))
     print(context)
     return 0
 

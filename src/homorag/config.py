@@ -1,10 +1,11 @@
 """Configuration tree for the retrieval / filter / generate pipeline.
 
 Every tunable lives in one dataclass tree so a run is reproducible from a
-single YAML file. `default_provenance` tags each default by origin
-("recipe" = follows the reference experimental setup this package
-implements, "local" = engineering choice made here) and is stamped into run
-metadata.
+single YAML file. Each default is written once, in its dataclass or in
+ENCODER_RECIPE, and other modules refer to it. `default_provenance` tags
+each default by origin ("recipe" = follows the reference experimental setup
+this package implements, "local" = engineering choice made here) and is
+stamped into run metadata.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -23,7 +24,10 @@ class ConfigError(ValueError):
     """Invalid configuration value or file."""
 
 
-MODES = ("raw_only", "horizontal_only", "vertical_only", "full_2d")
+# The filter stages each mode runs after retrieval, in order.
+MODE_STAGES = {"raw_only": (), "horizontal_only": ("horizontal",),
+               "vertical_only": ("vertical",), "full_2d": ("horizontal", "vertical")}
+MODES = tuple(MODE_STAGES)
 
 # Deterministic in-process backends used by --offline runs and tests.
 MOCK_ENDPOINTS = {
@@ -111,9 +115,9 @@ class TrainConfig:
     training seed is the top-level `seed`.
     """
 
-    epochs: int = 4
+    epochs: int = ENCODER_RECIPE["epochs"]
     learning_rate: float = 1.0
-    batch_size: int = 64
+    batch_size: int = ENCODER_RECIPE["batch_size"]
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -204,7 +208,7 @@ class PipelineConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     def needs_filter_model(self) -> bool:
-        return self.mode in ("horizontal_only", "full_2d")
+        return "horizontal" in MODE_STAGES[self.mode]
 
     def validate_for_mode(self):
         if self.needs_filter_model() and not self.paths.filter_model:
@@ -212,27 +216,17 @@ class PipelineConfig:
 
     def force_offline(self) -> "PipelineConfig":
         """Return a copy with every backend replaced by its default mock."""
-        return replace(
-            self,
-            scorer=replace(self.scorer, endpoint=MOCK_ENDPOINTS["scorer"]),
-            embedder=replace(self.embedder, endpoint=MOCK_ENDPOINTS["embedder"]),
-            generator=replace(self.generator, endpoint=MOCK_ENDPOINTS["generator"]),
-        )
+        return replace(self, **{role: replace(getattr(self, role), endpoint=endpoint)
+                                for role, endpoint in MOCK_ENDPOINTS.items()})
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-_SECTION_TYPES = {
-    "retrieval": RetrievalConfig,
-    "ig": IgConfig,
-    "denoise": DenoiseConfig,
-    "train": TrainConfig,
-    "generation": GenerationParams,
-    "blast": BlastConfig,
-    "paths": PipelinePaths,
-}
+# YAML sections: the PipelineConfig fields whose default is a section dataclass.
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(PipelineConfig)
+                  if isinstance(f.default_factory, type)}
 _SCALAR_KEYS = ("mode", "seed")
 _BACKEND_ROLES = ("scorer", "embedder", "generator")
 
@@ -240,7 +234,7 @@ _BACKEND_ROLES = ("scorer", "embedder", "generator")
 def _build_section(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{where}' must be a mapping")
-    valid = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+    valid = {f.name for f in fields(cls)}
     for key in data:
         if key not in valid:
             raise ConfigError(f"unknown key '{where}.{key}'")
@@ -303,27 +297,26 @@ def load_config(
     return cfg
 
 
+# The defaults that `default_provenance` stamps into run metadata, by origin.
+_RECIPE_DEFAULTS = ("retrieval.top_k", "ig.omega", "ig.tau", "generation.temperature",
+                    "generation.top_p", "generation.max_tokens", "train.epochs",
+                    "train.batch_size", "train.encoder_learning_rate")
+_LOCAL_DEFAULTS = ("train.learning_rate", "ig.window", "ig.head_k", "ig.alpha",
+                   "denoise.eps", "denoise.min_pts", "denoise.anchor_top_m")
+
+
 def default_provenance() -> dict[str, dict[str, Any]]:
     """Defaults tagged by origin, for run metadata.
 
     "recipe" entries mirror the reference experimental setup; "local"
-    entries are values this implementation had to choose itself.
+    entries are values this implementation had to choose itself. Values are
+    read from a fresh `PipelineConfig`, the encoder step size from ENCODER_RECIPE.
     """
-    return {
-        "retrieval.top_k": {"value": 3, "origin": "recipe"},
-        "ig.omega": {"value": 0.8, "origin": "recipe"},
-        "ig.tau": {"value": 0.01, "origin": "recipe"},
-        "generation.temperature": {"value": 0.7, "origin": "recipe"},
-        "generation.top_p": {"value": 0.9, "origin": "recipe"},
-        "generation.max_tokens": {"value": 2048, "origin": "recipe"},
-        "train.epochs": {"value": 4, "origin": "recipe"},
-        "train.batch_size": {"value": 64, "origin": "recipe"},
-        "train.encoder_learning_rate": {"value": ENCODER_RECIPE["learning_rate"], "origin": "recipe"},
-        "train.learning_rate": {"value": 1.0, "origin": "local"},
-        "ig.window": {"value": 3, "origin": "local"},
-        "ig.head_k": {"value": 5, "origin": "local"},
-        "ig.alpha": {"value": 0.5, "origin": "local"},
-        "denoise.eps": {"value": 0.35, "origin": "local"},
-        "denoise.min_pts": {"value": 2, "origin": "local"},
-        "denoise.anchor_top_m": {"value": 1, "origin": "local"},
-    }
+    defaults = asdict(PipelineConfig())
+    defaults["train"]["encoder_learning_rate"] = ENCODER_RECIPE["learning_rate"]
+    provenance = {}
+    for origin, keys in (("recipe", _RECIPE_DEFAULTS), ("local", _LOCAL_DEFAULTS)):
+        for key in keys:
+            section, name = key.split(".")
+            provenance[key] = {"value": defaults[section][name], "origin": origin}
+    return provenance

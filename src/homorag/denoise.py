@@ -182,7 +182,7 @@ class AnchorSelection:
 def select_anchor_clusters(
     cluster_set: ClusterSet,
     pool: EvidencePool,
-    anchor_top_m: int = 1,
+    anchor_top_m: int,
 ) -> AnchorSelection:
     """Select every cluster containing evidence from the anchor homologs.
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .annotations import AnnotationIndex
 from .atomic import write_atomic
-from .config import PipelineConfig, default_provenance
+from .config import MODE_STAGES, PipelineConfig, default_provenance
 from .denoise import render_context, vertical_filter
 from .gateway import Gateway
 from .homology import (
@@ -175,7 +175,7 @@ class RunArtifact:
         }
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return pretty_json(self.to_dict())
 
 
 def replay_context(artifact: dict) -> str:
@@ -187,8 +187,9 @@ def replay_context(artifact: dict) -> str:
     return ""
 
 
-def _pretty_json(data: dict) -> bytes:
-    return (json.dumps(data, sort_keys=True, indent=2) + "\n").encode("utf-8")
+def pretty_json(data: dict) -> str:
+    """Sorted keys, indent 2: the layout of artifacts, timings, summaries and pools."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def safe_filename(record_id: str) -> str:
@@ -263,7 +264,8 @@ class Pipeline:
         artifact.timings["retrieval"] = time.perf_counter() - t0
 
         final_pool = raw_pool
-        if cfg.mode in ("horizontal_only", "full_2d"):
+        stages = MODE_STAGES[cfg.mode]
+        if "horizontal" in stages:
             t1 = time.perf_counter()
             try:
                 final_pool = gate(raw_pool, self.filter_model, record.instruction)
@@ -274,7 +276,7 @@ class Pipeline:
                 })
             artifact.timings["horizontal"] = time.perf_counter() - t1
 
-        if cfg.mode in ("vertical_only", "full_2d"):
+        if "vertical" in stages:
             t2 = time.perf_counter()
             try:
                 vertical_pool, context, warnings = vertical_filter(
@@ -325,7 +327,7 @@ class Pipeline:
             artifact = self.run_query(record)
             name = safe_filename(record.id)
             write_atomic(artifacts_dir / f"{name}.json", artifact.canonical_json().encode())
-            write_atomic(timings_dir / f"{name}.json", _pretty_json(artifact.timings))
+            write_atomic(timings_dir / f"{name}.json", pretty_json(artifact.timings).encode())
             return 1 if artifact.errors else 0
 
         with ThreadPoolExecutor(max_workers=_batch_workers(self.config)) as pool:
@@ -342,7 +344,7 @@ class Pipeline:
             "skipped_malformed": sorted(ident for ident, _ in bad_lines),
             "records_with_errors": failures,
         }
-        write_atomic(out / "summary.json", _pretty_json(summary))
+        write_atomic(out / "summary.json", pretty_json(summary).encode())
         return summary
 
 
@@ -383,11 +385,10 @@ def run_eval(
     if out_prefix is not None:
         out_prefix = Path(out_prefix)
         out_prefix.parent.mkdir(parents=True, exist_ok=True)
-        Path(f"{out_prefix}.jsonl").write_text(rows_to_jsonl(table), encoding="utf-8")
-        Path(f"{out_prefix}.txt").write_text(
-            render_table(table) + f"\n\nexcluded (no reference): {missing_reference}\n",
-            encoding="utf-8",
-        )
+        write_atomic(Path(f"{out_prefix}.jsonl"), rows_to_jsonl(table).encode("utf-8"))
+        write_atomic(Path(f"{out_prefix}.txt"), (
+            render_table(table) + f"\n\nexcluded (no reference): {missing_reference}\n"
+        ).encode("utf-8"))
     return table
 
 

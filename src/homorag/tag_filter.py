@@ -27,7 +27,8 @@ from typing import Callable, Iterable, Optional, Protocol, Sequence
 import numpy as np
 
 from .annotations import normalize_tag
-from .config import ENCODER_RECIPE, IgConfig
+from .atomic import write_atomic
+from .config import ENCODER_RECIPE, IgConfig, PipelineConfig, TrainConfig
 from .homology import EvidencePool, PoolHomolog, Stage
 
 PROB_FLOOR = 1e-9
@@ -228,17 +229,20 @@ class DistillationExample:
 
 
 def write_examples(path: str | Path, examples: Iterable[DistillationExample]):
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(ex.to_dict(), sort_keys=True) + "\n")
+    lines = "".join(json.dumps(ex.to_dict(), sort_keys=True) + "\n" for ex in examples)
+    write_atomic(Path(path), lines.encode("utf-8"))
 
 
 def read_examples(path: str | Path) -> list[DistillationExample]:
+    """Read a JSONL example file; a malformed line raises ValueError naming path:line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if line.strip():
-                out.append(DistillationExample.from_dict(json.loads(line)))
+                try:
+                    out.append(DistillationExample.from_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from exc
     return out
 
 
@@ -248,8 +252,8 @@ def build_distillation_set(
     ig_fn: Callable,
     *,
     per_type: int = 100,
-    tau: float = 0.01,
-    seed: int = 0,
+    tau: float = IgConfig.tau,
+    seed: int = PipelineConfig.seed,
 ) -> tuple[list[DistillationExample], list[DistillationExample]]:
     """Sample records per instruction type, label their snippets, and split.
 
@@ -381,8 +385,7 @@ class FilterModel:
             "weights": {str(int(i)): float(self.weights[i]) for i in nz},
             "metadata": self.metadata,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+        write_atomic(Path(path), json.dumps(payload, sort_keys=True, indent=1).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "FilterModel":
@@ -418,10 +421,10 @@ def _mean_bce(model: FilterModel, feats: list[dict[int, float]], labels: np.ndar
 def train_filter(
     examples: Sequence[DistillationExample],
     *,
-    epochs: int = 4,
-    learning_rate: float = 1.0,
-    batch_size: int = 64,
-    seed: int = 0,
+    epochs: int = TrainConfig.epochs,
+    learning_rate: float = TrainConfig.learning_rate,
+    batch_size: int = TrainConfig.batch_size,
+    seed: int = PipelineConfig.seed,
     heldout: Optional[Sequence[DistillationExample]] = None,
 ) -> FilterModel:
     """Train the tag relevance scorer on labeled examples.

@@ -1,5 +1,6 @@
 """Flat-file parser, GO resolution, and index behavior."""
 
+import re
 import shutil
 from pathlib import Path
 
@@ -304,6 +305,35 @@ def test_index_save_load_round_trip(tmp_path, annotation_index):
     assert loaded.records == annotation_index.records
     assert loaded.go_terms == annotation_index.go_terms
     assert loaded.lookup("Q55C17") == annotation_index.lookup("Q55C17")
+
+
+def test_failed_replace_during_rebuild_keeps_earlier_index(tmp_path, monkeypatch):
+    import os
+
+    out = tmp_path / "index"
+    earlier = build_index(DAT, FIXTURES / "go_mini.obo", out)
+
+    def failing_replace(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="no space left"):
+        build_index(DAT, FIXTURES / "go_mini.obo", out)
+    monkeypatch.undo()
+    loaded = AnnotationIndex.load(out)
+    assert loaded.records == earlier.records and len(loaded.records) == 8
+    assert loaded.go_terms == earlier.go_terms
+    assert sorted(p.name for p in out.iterdir()) == ["go_terms.tsv", "records.tsv"]
+
+
+def test_load_names_file_and_line_of_a_cut_off_row(tmp_path, annotation_index):
+    out = tmp_path / "index"
+    annotation_index.save(out)
+    records = out / "records.tsv"
+    lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+    records.write_text("".join(lines[:5]) + lines[5].split("\t")[0], encoding="utf-8")
+    with pytest.raises(IndexBuildError, match=re.escape(f"{records}:6: malformed row")):
+        AnnotationIndex.load(out)
 
 
 def test_duplicate_accession_lists_offsets(tmp_path):

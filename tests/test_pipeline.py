@@ -14,9 +14,23 @@ import yaml
 from conftest import FIXTURES, make_pipeline_config
 from homorag import cli
 from homorag.annotations import AnnotationIndex
-from homorag.config import BackendConfig, ConfigError, PipelineConfig, load_config
+from homorag import config as config_module
+from homorag.config import (
+    ENCODER_RECIPE,
+    BackendConfig,
+    ConfigError,
+    DenoiseConfig,
+    GenerationParams,
+    IgConfig,
+    PipelineConfig,
+    RetrievalConfig,
+    TrainConfig,
+    default_provenance,
+    load_config,
+)
+from homorag.denoise import vertical_filter
 from homorag.gateway import ECHO_EMPTY, Gateway
-from homorag.homology import assemble_raw_pool, load_hits, rank_and_select
+from homorag.homology import EvidencePool, assemble_raw_pool, load_hits, rank_and_select
 from homorag.metrics import EntityLexicon
 from homorag.pipeline import (
     BlastInvocationError,
@@ -605,6 +619,27 @@ def test_cli_retrieve_identity_ceiling(capsys):
     assert [l.split("\t")[1] for l in lines] == ["Q9N5Y2"]
 
 
+@pytest.mark.parametrize("section, flags, expected", [
+    ({"top_k": 1}, [], ["Q55C17"]),
+    ({"identity_ceiling": 0.8}, [], ["Q9N5Y2"]),
+    ({"exclude_self": False}, [], ["P99999", "Q55C17", "Q3ZCD7"]),
+    ({"top_k": 1, "identity_ceiling": 0.8}, ["--k", "2", "--identity-ceiling", "0.9"],
+     ["Q3ZCD7", "Q9N5Y2"]),
+    ({"top_k": 1}, ["--keep-self"], ["P99999"]),
+], ids=["top_k", "identity_ceiling", "exclude_self", "flags_win", "keep_self_flag"])
+def test_cli_retrieve_reads_retrieval_section(tmp_path, capsys, section, flags, expected):
+    hits = tmp_path / "hits.tsv"  # the fixture hits plus a self hit of the 64-residue query
+    hits.write_text((FIXTURES / "hits_fixture.tsv").read_text(encoding="utf-8")
+                    + "case-r1\tP99999\t100.0\t64\t64\t0\t1000\n", encoding="utf-8")
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text(yaml.safe_dump({"retrieval": section}), encoding="utf-8")
+    rc = cli.main(["--config", str(config_path), "retrieve",
+                   "--query", str(FIXTURES / "query.fasta"), "--hits", str(hits), *flags])
+    assert rc == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l]
+    assert [l.split("\t")[1] for l in lines] == expected
+
+
 def test_cli_filter_label_train_score(index_dir_module, tmp_path, capsys):
     label_dir = tmp_path / "labels"
     rc = cli.main(["--offline", "filter", "label",
@@ -683,6 +718,29 @@ def test_cli_denoise_matches_pipeline_vertical_stage(pipeline, tmp_path, capsys,
         assert rc == 0
         assert capsys.readouterr().out == artifact.context + "\n"
         assert json.loads(out_path.read_text(encoding="utf-8")) == artifact.pools["vertical"]
+
+
+def test_cli_denoise_reads_denoise_section(pipeline, tmp_path, capsys, records):
+    artifact = pipeline.run_query(records["case-r1"])
+    pool_path = tmp_path / "pool.json"
+    pool_path.write_text(json.dumps(artifact.pools["raw"]), encoding="utf-8")
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text(yaml.safe_dump({"denoise": {"eps": 0.9, "anchor_top_m": 2}}),
+                           encoding="utf-8")
+    config = load_config(config_path, offline=True)
+    pool = EvidencePool.from_dict(artifact.pools["raw"])
+    embedder = Gateway().embedder_handle(config.embedder)
+    expected = vertical_filter(pool, embedder, config.denoise)[1]
+    default = vertical_filter(pool, embedder, DenoiseConfig())[1]
+    assert expected != default
+
+    denoise = ["--config", str(config_path), "--offline", "denoise", "--pool", str(pool_path)]
+    assert cli.main(denoise) == 0
+    assert capsys.readouterr().out == expected + "\n"
+    assert cli.main(denoise + ["--eps", "0.35", "--anchor-top", "1"]) == 0
+    assert capsys.readouterr().out == default + "\n"
+    assert cli.main(denoise + ["--eps", "-1"]) == 2
+    assert "denoise.eps must be > 0" in capsys.readouterr().err
 
 
 def test_cli_denoise_accepts_handwritten_pool(tmp_path, capsys):
@@ -779,6 +837,41 @@ def test_load_config_offline_and_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("HOMORAG_SCORER_ENDPOINT", "http://scorer.env/score")
     with_env = load_config(config_path)
     assert with_env.scorer.endpoint == "http://scorer.env/score"
+
+
+def test_default_provenance_reads_pipeline_config(monkeypatch):
+    assert default_provenance() == {
+        "retrieval.top_k": {"value": 3, "origin": "recipe"},
+        "ig.omega": {"value": 0.8, "origin": "recipe"},
+        "ig.tau": {"value": 0.01, "origin": "recipe"},
+        "generation.temperature": {"value": 0.7, "origin": "recipe"},
+        "generation.top_p": {"value": 0.9, "origin": "recipe"},
+        "generation.max_tokens": {"value": 2048, "origin": "recipe"},
+        "train.epochs": {"value": 4, "origin": "recipe"},
+        "train.batch_size": {"value": 64, "origin": "recipe"},
+        "train.encoder_learning_rate": {"value": 1e-5, "origin": "recipe"},
+        "train.learning_rate": {"value": 1.0, "origin": "local"},
+        "ig.window": {"value": 3, "origin": "local"},
+        "ig.head_k": {"value": 5, "origin": "local"},
+        "ig.alpha": {"value": 0.5, "origin": "local"},
+        "denoise.eps": {"value": 0.35, "origin": "local"},
+        "denoise.min_pts": {"value": 2, "origin": "local"},
+        "denoise.anchor_top_m": {"value": 1, "origin": "local"},
+    }
+    # every value follows the dataclass defaults, whatever they are
+    other = PipelineConfig(
+        retrieval=RetrievalConfig(top_k=7),
+        ig=IgConfig(window=5, head_k=2, omega=0.5, alpha=0.25, tau=0.02),
+        denoise=DenoiseConfig(eps=0.2, min_pts=3, anchor_top_m=2),
+        train=TrainConfig(epochs=9, learning_rate=0.25, batch_size=8),
+        generation=GenerationParams(temperature=0.1, top_p=0.5, max_tokens=16),
+    )
+    monkeypatch.setattr(config_module, "PipelineConfig", lambda: other)
+    for key, entry in default_provenance().items():
+        section, name = key.split(".")
+        expected = (ENCODER_RECIPE["learning_rate"] if name == "encoder_learning_rate"
+                    else getattr(getattr(other, section), name))
+        assert entry["value"] == expected, key
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):

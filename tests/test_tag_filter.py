@@ -355,6 +355,20 @@ def test_examples_round_trip(tmp_path):
     assert read_examples(tmp_path / "ex.jsonl") == examples
 
 
+@pytest.mark.parametrize("bad_line, error", [
+    ('{"instruction": "i", "tag": "FUNCTION", "label": 1}', "KeyError: 'ig'"),
+    ("not json", "JSONDecodeError"),
+    ('{"instruction": "i", "tag": "FUNCTION", "label": 2, "ig": 0.0}', "label must be 0 or 1"),
+])
+def test_read_examples_names_file_and_line(tmp_path, bad_line, error):
+    path = tmp_path / "ex.jsonl"
+    write_examples(path, [DistillationExample("instr", "FUNCTION", 1, 0.04)])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n" + bad_line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(error)):
+        read_examples(path)
+
+
 # -- training -----------------------------------------------------------------------------------
 
 def test_zero_epochs_scores_half_everywhere():
@@ -426,6 +440,26 @@ def test_serialization_round_trip(tmp_path, trained_model):
                                for _ in range(6))
         tag = rng.choice(tags)
         assert loaded.score(instruction, tag) == trained_model.score(instruction, tag)
+
+
+def test_failed_replace_keeps_earlier_model(tmp_path, trained_model, monkeypatch):
+    import os
+
+    path = tmp_path / "model.json"
+    trained_model.save(path)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="no space left"):
+        FilterModel(metadata={"retrained": True}).save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+    assert FilterModel.load(path).score("Describe the function.", "FUNCTION") \
+        == trained_model.score("Describe the function.", "FUNCTION")
 
 
 def test_load_rejects_unknown_format(tmp_path):
