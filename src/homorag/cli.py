@@ -36,7 +36,7 @@ from .pipeline import (
     run_eval,
     safe_filename,
 )
-from .tag_filter import FilterModel, read_examples, train_filter, write_examples
+from .tag_filter import DISTILL_PER_TYPE, FilterModel, read_examples, train_filter, write_examples
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     label.add_argument("--index", required=True)
     label.add_argument("--hits", required=True)
     label.add_argument("--out", required=True, help="output directory")
-    label.add_argument("--per-type", type=int, default=100)
+    label.add_argument("--per-type", type=int, default=DISTILL_PER_TYPE)
     train = filt_sub.add_parser("train", help="train the tag classifier")
     train.add_argument("--examples", required=True, help="train jsonl, or a directory with train/test jsonl")
     train.add_argument("--out", required=True)

@@ -98,11 +98,14 @@ class HomologHit:
         )})
 
 
-def parse_blast_tabular(stream: Iterable[str]) -> list[HomologHit]:
+def parse_blast_tabular(
+    stream: Iterable[str], path: Optional[str | Path] = None,
+) -> list[HomologHit]:
     """Parse 7-column tab-separated hit rows, preserving input order.
 
     Comment lines (leading '#') and blank lines are skipped; anything else
-    malformed raises with its 1-based row number.
+    malformed raises with its 1-based row number (`row N`, or `<path>:N`
+    when the stream's path is given).
     """
     hits: list[HomologHit] = []
     for row_no, line in enumerate(stream, start=1):
@@ -110,9 +113,9 @@ def parse_blast_tabular(stream: Iterable[str]) -> list[HomologHit]:
         if not line.strip() or line.startswith("#"):
             continue
         cols = line.split("\t")
-        if len(cols) != 7:
-            raise BlastParseError(f"row {row_no}: expected 7 columns, got {len(cols)}")
         try:
+            if len(cols) != 7:
+                raise ValueError(f"expected 7 columns, got {len(cols)}")
             hit = HomologHit(
                 query_id=cols[0],
                 subject_accession=cols[1],
@@ -123,7 +126,8 @@ def parse_blast_tabular(stream: Iterable[str]) -> list[HomologHit]:
                 bitscore=float(cols[6]),
             )
         except ValueError as exc:
-            raise BlastParseError(f"row {row_no}: {exc}") from exc
+            where = f"row {row_no}" if path is None else f"{path}:{row_no}"
+            raise BlastParseError(f"{where}: {exc}") from exc
         hits.append(hit)
     return hits
 
@@ -131,7 +135,7 @@ def parse_blast_tabular(stream: Iterable[str]) -> list[HomologHit]:
 def load_hits(path: str | Path) -> dict[str, list[HomologHit]]:
     """Parse a hits file into each query id's hits, in input order."""
     with open(path, "r", encoding="utf-8") as fh:
-        hits = parse_blast_tabular(fh)
+        hits = parse_blast_tabular(fh, path)
     by_query: dict[str, list[HomologHit]] = {}
     for hit in hits:
         by_query.setdefault(hit.query_id, []).append(hit)

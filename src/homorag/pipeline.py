@@ -18,6 +18,7 @@ import shutil
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -39,6 +40,7 @@ from .homology import (
 )
 from .metrics import EntityLexicon, aggregate, render_table, rows_to_jsonl, score_record
 from .tag_filter import (
+    DISTILL_PER_TYPE,
     FilterModel,
     TokenProbSequence,
     build_distillation_set,
@@ -213,6 +215,20 @@ def _batch_workers(config: PipelineConfig) -> int:
     return max(remote, default=1)
 
 
+@contextmanager
+def _stage(artifact: RunArtifact, name: str):
+    """Time one stage of a record into `artifact.timings`. An exception the
+    stage raises becomes an `errors` entry and the record goes on to its
+    next stage."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        artifact.errors.append({"stage": name, "error": f"{type(exc).__name__}: {exc}"})
+    finally:
+        artifact.timings[name] = time.perf_counter() - t0
+
+
 class Pipeline:
     """Loads the shared resources for a config and executes queries."""
 
@@ -243,65 +259,33 @@ class Pipeline:
             code_version=__version__,
             reference=record.answer,
         )
-        t0 = time.perf_counter()
-
         hits = self.hits_by_query.get(record.id, [])
         artifact.hits = list(hits)
-        empty = EvidencePool(stage=Stage.RAW, homologs=())
-        raw_pool = empty
-        try:
+        pool = EvidencePool(stage=Stage.RAW, homologs=())
+        with _stage(artifact, "retrieval"):
             selected = rank_and_select(hits, cfg.retrieval, query_length=len(record.sequence))
             artifact.selected_hits = selected
-            if self.index is not None and selected:
-                raw_pool = assemble_raw_pool(selected, self.index, cfg.retrieval.resolve_go)
-            elif selected and self.index is None:
-                raise RuntimeError("no annotation index configured (paths.index_dir)")
-        except Exception as exc:
-            artifact.errors.append({"stage": "retrieval", "error": f"{type(exc).__name__}: {exc}"})
-            raw_pool = empty
-        artifact.pools["raw"] = raw_pool.to_dict()
-        artifact.warnings.extend(raw_pool.warnings)
-        artifact.timings["retrieval"] = time.perf_counter() - t0
+            if selected:
+                if self.index is None:
+                    raise RuntimeError("no annotation index configured (paths.index_dir)")
+                pool = assemble_raw_pool(selected, self.index, cfg.retrieval.resolve_go)
+        artifact.pools["raw"] = pool.to_dict()  # the empty pool when retrieval failed
+        artifact.warnings.extend(pool.warnings)
 
-        final_pool = raw_pool
-        stages = MODE_STAGES[cfg.mode]
-        if "horizontal" in stages:
-            t1 = time.perf_counter()
-            try:
-                final_pool = gate(raw_pool, self.filter_model, record.instruction)
-                artifact.pools["horizontal"] = final_pool.to_dict()
-            except Exception as exc:
-                artifact.errors.append({
-                    "stage": "horizontal", "error": f"{type(exc).__name__}: {exc}",
-                })
-            artifact.timings["horizontal"] = time.perf_counter() - t1
+        for name in MODE_STAGES[cfg.mode]:
+            with _stage(artifact, name):
+                if name == "horizontal":
+                    pool = gate(pool, self.filter_model, record.instruction)
+                else:
+                    pool, _, warnings = vertical_filter(
+                        pool, self.gateway.embedder_handle(cfg.embedder), cfg.denoise)
+                    artifact.warnings.extend(warnings)
+                artifact.pools[name] = pool.to_dict()
+        artifact.context = render_context(pool)
 
-        if "vertical" in stages:
-            t2 = time.perf_counter()
-            try:
-                vertical_pool, context, warnings = vertical_filter(
-                    final_pool, self.gateway.embedder_handle(cfg.embedder), cfg.denoise
-                )
-                artifact.warnings.extend(warnings)
-                artifact.pools["vertical"] = vertical_pool.to_dict()
-                final_pool = vertical_pool
-                artifact.context = context
-            except Exception as exc:
-                artifact.errors.append({
-                    "stage": "vertical", "error": f"{type(exc).__name__}: {exc}",
-                })
-                artifact.context = render_context(final_pool)
-            artifact.timings["vertical"] = time.perf_counter() - t2
-        else:
-            artifact.context = render_context(final_pool)
-
-        t3 = time.perf_counter()
-        artifact.prompt = build_prompt(record, artifact.context)
-        try:
+        with _stage(artifact, "generation"):
+            artifact.prompt = build_prompt(record, artifact.context)
             artifact.answer = self.gateway.generate(cfg.generator, artifact.prompt, cfg.generation)
-        except Exception as exc:
-            artifact.errors.append({"stage": "generation", "error": f"{type(exc).__name__}: {exc}"})
-        artifact.timings["generation"] = time.perf_counter() - t3
         return artifact
 
     # -- batch ----------------------------------------------------------------
@@ -443,7 +427,7 @@ def label_dataset(
     index: AnnotationIndex,
     hits_by_query: dict[str, list[HomologHit]],
     gateway: Gateway,
-    per_type: int = 100,
+    per_type: int = DISTILL_PER_TYPE,
 ):
     """Wire retrieval and the teacher scorer into distillation-set labeling.
 

@@ -35,6 +35,7 @@ PROB_FLOOR = 1e-9
 FEATURE_DIM = 2 ** 18
 MODEL_FORMAT = "homorag-filter/1"
 TRAIN_PARTS, TEST_PARTS = 4, 1  # record split of a distillation set
+DISTILL_PER_TYPE = 100  # records sampled per instruction type for labelling
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_END_RE = re.compile(r"[.!?]+(?=\s|$)")
@@ -251,7 +252,7 @@ def build_distillation_set(
     snippet_source: Callable,
     ig_fn: Callable,
     *,
-    per_type: int = 100,
+    per_type: int = DISTILL_PER_TYPE,
     tau: float = IgConfig.tau,
     seed: int = PipelineConfig.seed,
 ) -> tuple[list[DistillationExample], list[DistillationExample]]:

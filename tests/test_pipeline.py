@@ -22,15 +22,17 @@ from homorag.config import (
     DenoiseConfig,
     GenerationParams,
     IgConfig,
+    MODE_STAGES,
+    MODES,
     PipelineConfig,
     RetrievalConfig,
     TrainConfig,
     default_provenance,
     load_config,
 )
-from homorag.denoise import vertical_filter
+from homorag.denoise import render_context, vertical_filter
 from homorag.gateway import ECHO_EMPTY, Gateway
-from homorag.homology import EvidencePool, assemble_raw_pool, load_hits, rank_and_select
+from homorag.homology import EvidencePool, Stage, assemble_raw_pool, load_hits, rank_and_select
 from homorag.metrics import EntityLexicon
 from homorag.pipeline import (
     BlastInvocationError,
@@ -38,6 +40,7 @@ from homorag.pipeline import (
     NO_EVIDENCE_NOTE,
     Pipeline,
     QARecord,
+    build_prompt,
     label_dataset,
     read_dataset,
     replay_context,
@@ -223,6 +226,94 @@ def test_config_requires_filter_model_for_horizontal_modes(index_dir_module, tmp
     config = PipelineConfig(mode="full_2d")
     with pytest.raises(ConfigError, match="filter_model"):
         Pipeline(config)
+
+
+# -- stage failures --------------------------------------------------------------------
+
+STAGE_FAULTS = ("lookup", "score_tags", "embed", "generate", "no_index")
+
+
+@pytest.fixture(scope="module")
+def fault_free(index_dir_module, filter_model_module, module_work, records):
+    """Each mode's artifact for every fixture record, with nothing failing."""
+    artifacts = {}
+    for mode in MODES:
+        pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module,
+                                             module_work, mode=mode))
+        artifacts[mode] = {rid: pipe.run_query(record) for rid, record in records.items()}
+    return artifacts
+
+
+def _inject(fault, pipe, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError(f"injected {fault} fault")
+
+    if fault == "no_index":
+        pipe.index = None
+    else:
+        owner = {"lookup": AnnotationIndex, "score_tags": FilterModel,
+                 "embed": Gateway, "generate": Gateway}[fault]
+        monkeypatch.setattr(owner, fault, boom)
+
+
+def _expected_errors(fault, mode, clean):
+    """The errors a fault leaves on a record, worked out from its fault-free artifact."""
+    stages = MODE_STAGES[mode]
+    if fault in ("lookup", "no_index"):
+        if not clean.selected_hits:
+            return []
+        cause = ("injected lookup fault" if fault == "lookup"
+                 else "no annotation index configured (paths.index_dir)")
+        return [{"stage": "retrieval", "error": f"RuntimeError: {cause}"}]
+    if fault == "score_tags" and "horizontal" in stages:
+        return [{"stage": "horizontal", "error": "RuntimeError: injected score_tags fault"}]
+    if fault == "embed" and "vertical" in stages:
+        entering = clean.pools["horizontal" if "horizontal" in stages else "raw"]
+        n = len(EvidencePool.from_dict(entering).snippets())
+        if n == 0:  # an empty pool passes the vertical stage without an embedding request
+            return []
+        return [{"stage": "vertical", "error": "EmbeddingError: embedding failed for batch "
+                 f"of {n} texts: injected embed fault"}]
+    if fault == "generate":
+        return [{"stage": "generation", "error": "RuntimeError: injected generate fault"}]
+    return []
+
+
+@pytest.mark.parametrize("fault", STAGE_FAULTS)
+@pytest.mark.parametrize("mode", MODES)
+def test_stage_failure_stays_in_its_stage(index_dir_module, filter_model_module, tmp_path,
+                                          records, fault_free, monkeypatch, mode, fault):
+    pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path,
+                                         mode=mode))
+    _inject(fault, pipe, monkeypatch)
+    stages = MODE_STAGES[mode]
+    failing = 0
+    for rid, record in records.items():
+        artifact = pipe.run_query(record)
+        errors = _expected_errors(fault, mode, fault_free[mode][rid])
+        assert artifact.errors == errors
+        failing += bool(errors)
+        failed = {e["stage"] for e in errors}
+        # a failed filter stage leaves no snapshot; a failed retrieval leaves the empty raw pool
+        assert set(artifact.pools) == {"raw", *stages} - failed
+        if "retrieval" in failed:
+            assert artifact.pools["raw"] == EvidencePool(stage=Stage.RAW, homologs=()).to_dict()
+        else:
+            # the pool carries on from the last good stage: the mode without the failed one
+            kept = tuple(s for s in stages if s not in failed)
+            ref = fault_free[next(m for m, s in MODE_STAGES.items() if s == kept)][rid]
+            assert (artifact.pools, artifact.warnings) == (ref.pools, ref.warnings)
+        last_good = [s for s in ("raw", *stages) if s in artifact.pools][-1]
+        assert artifact.context == render_context(EvidencePool.from_dict(artifact.pools[last_good]))
+        assert artifact.prompt == build_prompt(record, artifact.context)
+        assert (artifact.answer is None) == (fault == "generate")
+        assert tuple(artifact.timings) == ("retrieval", *stages, "generation")
+
+    out = tmp_path / "run"
+    assert pipe.run_batch(FIXTURES / "qa_records.jsonl", out)["records_with_errors"] == failing
+    for path in (out / "timings").glob("*.json"):
+        assert set(json.loads(path.read_text(encoding="utf-8"))) == {"retrieval", *stages,
+                                                                     "generation"}
 
 
 # -- batch ---------------------------------------------------------------------------
@@ -608,6 +699,30 @@ def test_cli_retrieve(tmp_path, capsys):
     assert len(lines) == 3
     assert lines[0].split("\t")[1] == "Q55C17"
 
+
+def write_bad_hits(tmp_path):
+    """The fixture hits file with its 9th row cut to two columns."""
+    rows = (FIXTURES / "hits_fixture.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / "bad.tsv"
+    path.write_text("".join(rows[:8]) + "case-r1\tQ55C17\n" + "".join(rows[9:]),
+                    encoding="utf-8")
+    return path
+
+
+def test_cli_retrieve_names_bad_hits_file_and_row(tmp_path, capsys):
+    bad = write_bad_hits(tmp_path)
+    rc = cli.main(["retrieve", "--query", str(FIXTURES / "query.fasta"), "--hits", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}:9: expected 7 columns, got 2\n"
+
+
+def test_pipeline_names_bad_hits_file_and_row(index_dir_module, filter_model_module, tmp_path):
+    config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
+    bad = write_bad_hits(tmp_path)
+    config = replace(config, paths=replace(config.paths, hits=str(bad)))
+    with pytest.raises(ValueError) as info:
+        Pipeline(config)
+    assert str(info.value) == f"{bad}:9: expected 7 columns, got 2"
 
 def test_cli_retrieve_identity_ceiling(capsys):
     rc = cli.main(["retrieve", "--query", str(FIXTURES / "query.fasta"),
