@@ -352,7 +352,13 @@ class AnnotationIndex:
         with open(self.dat_path, "rb") as fh:
             fh.seek(offset)
             blob = fh.read(length)
-        entry = parse_entry(blob.decode("utf-8"))
+        try:
+            entry = parse_entry(blob.decode("utf-8"))
+        except ParseError as exc:
+            raise IndexBuildError(
+                f"{self.dat_path}: entry {accession} at offset {offset}, length {length} "
+                f"does not parse ({exc}); rebuild the index"
+            ) from exc
         with self._parsed_lock:
             if accession in self._seen:
                 if len(self._parsed) >= LOOKUP_CACHE_ENTRIES:

@@ -213,6 +213,8 @@ class PipelineConfig:
     def validate_for_mode(self):
         if self.needs_filter_model() and not self.paths.filter_model:
             raise ConfigError(f"mode {self.mode!r} requires paths.filter_model")
+        if self.paths.hits and not self.paths.index_dir:
+            raise ConfigError("paths.hits requires paths.index_dir to look the hits up in")
 
     def force_offline(self) -> "PipelineConfig":
         """Return a copy with every backend replaced by its default mock."""

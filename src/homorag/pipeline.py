@@ -6,11 +6,12 @@ after every stage that ran, the rendered context, prompt, and answer) as a
 canonical JSON artifact. Timings go to a sidecar file so artifacts stay
 byte-identical across reruns of the same configuration. Batch runs are
 resumable: a record is skipped when its artifact already exists with the
-current config digest.
+current config digest and no stage error.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -21,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import __version__
@@ -32,6 +34,7 @@ from .gateway import Gateway
 from .homology import (
     AMINO_ALPHABET,
     EvidencePool,
+    HITS_COLUMNS,
     HomologHit,
     Stage,
     assemble_raw_pool,
@@ -42,7 +45,6 @@ from .metrics import EntityLexicon, aggregate, render_table, rows_to_jsonl, scor
 from .tag_filter import (
     DISTILL_PER_TYPE,
     FilterModel,
-    TokenProbSequence,
     build_distillation_set,
     make_query_context,
     segment_ig,
@@ -56,7 +58,7 @@ logger = logging.getLogger(__name__)
 NO_EVIDENCE_NOTE = "(no evidence retrieved)"
 _SAFE_ID_RE = re.compile(r"[^A-Za-z0-9._\-]")
 
-BLAST_OUTFMT = "6 qseqid sseqid pident length nident evalue bitscore"
+BLAST_OUTFMT = "6 " + " ".join(HITS_COLUMNS)
 
 
 class DatasetError(ValueError):
@@ -199,12 +201,14 @@ def safe_filename(record_id: str) -> str:
 
 
 def _is_done(path: Path, digest: str) -> bool:
-    """Whether path holds a readable artifact made under the config digest."""
+    """Whether path holds a readable artifact made under the config digest
+    with no stage error, so a record that failed is run again."""
     try:
         existing = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         return False
-    return isinstance(existing, dict) and existing.get("config_digest") == digest
+    return (isinstance(existing, dict) and existing.get("config_digest") == digest
+            and not existing.get("errors"))
 
 
 def _batch_workers(config: PipelineConfig) -> int:
@@ -407,20 +411,6 @@ def run_blast(config: PipelineConfig, fasta_path: str | Path, out_path: str | Pa
     return {"command": command, "returncode": proc.returncode, "out": str(out_path)}
 
 
-class _MemoScorer:
-    """Scorer that sends each distinct (prompt, target) request once."""
-
-    def __init__(self, scorer):
-        self.scorer = scorer
-        self.answers: dict[tuple[str, str], TokenProbSequence] = {}
-
-    def score_tokens(self, prompt: str, target: str) -> TokenProbSequence:
-        answer = self.answers.get((prompt, target))
-        if answer is None:
-            answer = self.answers[(prompt, target)] = self.scorer.score_tokens(prompt, target)
-        return answer
-
-
 def label_dataset(
     config: PipelineConfig,
     records: Sequence[QARecord],
@@ -436,31 +426,20 @@ def label_dataset(
     snippet of a record shares it.
     """
     handle = gateway.scorer_handle(config.scorer)
-    current: Optional[tuple[QARecord, _MemoScorer]] = None
 
-    def snippet_source(record: QARecord):
-        hits = hits_by_query.get(record.id, [])
-        selected = rank_and_select(hits, config.retrieval, query_length=len(record.sequence))
-        return assemble_raw_pool(selected, index, config.retrieval.resolve_go).snippets()
-
-    def ig_fn(record: QARecord, snippet) -> float:
-        nonlocal current
-        if current is None or current[0] is not record:
-            current = (record, _MemoScorer(handle))
+    def label_record(record: QARecord) -> list[tuple[str, float]]:
+        selected = rank_and_select(hits_by_query.get(record.id, []), config.retrieval,
+                                   query_length=len(record.sequence))
+        snippets = assemble_raw_pool(selected, index, config.retrieval.resolve_go).snippets()
+        if not snippets:  # nothing to label, so a blank answer is never split
+            return []
+        scorer = SimpleNamespace(score_tokens=functools.cache(handle.score_tokens))
+        query_context = make_query_context(record.instruction, record.sequence)
         fragments = split_fragments(record.answer)
-        return segment_ig(
-            current[1],
-            make_query_context(record.instruction, record.sequence),
-            snippet_document(snippet.tag, snippet.value),
-            fragments,
-            config.ig,
-        )
+        return [(s.tag, segment_ig(scorer, query_context, snippet_document(s.tag, s.value),
+                                   fragments, config.ig))
+                for s in snippets]
 
     return build_distillation_set(
-        records,
-        snippet_source,
-        ig_fn,
-        per_type=per_type,
-        tau=config.ig.tau,
-        seed=config.seed,
+        records, label_record, per_type=per_type, tau=config.ig.tau, seed=config.seed,
     )

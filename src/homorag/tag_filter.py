@@ -249,8 +249,7 @@ def read_examples(path: str | Path) -> list[DistillationExample]:
 
 def build_distillation_set(
     records: Sequence,
-    snippet_source: Callable,
-    ig_fn: Callable,
+    label_record: Callable,
     *,
     per_type: int = DISTILL_PER_TYPE,
     tau: float = IgConfig.tau,
@@ -258,11 +257,11 @@ def build_distillation_set(
 ) -> tuple[list[DistillationExample], list[DistillationExample]]:
     """Sample records per instruction type, label their snippets, and split.
 
-    `snippet_source(record)` returns the retrieved snippets for a record and
-    `ig_fn(record, snippet)` scores one snippet's gain. Sampling takes
-    `per_type` records uniformly per instruction type (all of them when a
-    type is smaller), then splits records type-stratified in
-    TRAIN_PARTS:TEST_PARTS proportion. Deterministic under a fixed seed.
+    `label_record(record)` returns the (tag, gain) pair of each of the
+    record's retrieved snippets. Sampling takes `per_type` records uniformly
+    per instruction type (all of them when a type is smaller), then splits
+    records type-stratified in TRAIN_PARTS:TEST_PARTS proportion.
+    Deterministic under a fixed seed.
     """
     import random as _random
 
@@ -283,16 +282,11 @@ def build_distillation_set(
         n_train = len(shuffled) * TRAIN_PARTS // (TRAIN_PARTS + TEST_PARTS)
         for pos, rec in enumerate(shuffled):
             sink = train if pos < n_train else test
-            for snippet in snippet_source(rec):
-                ig = ig_fn(rec, snippet)
-                sink.append(
-                    DistillationExample(
-                        instruction=rec.instruction,
-                        tag=snippet.tag,
-                        label=label_snippet(ig, tau),
-                        ig_value=ig,
-                    )
-                )
+            sink.extend(
+                DistillationExample(instruction=rec.instruction, tag=tag,
+                                    label=label_snippet(ig, tau), ig_value=ig)
+                for tag, ig in label_record(rec)
+            )
     return train, test
 
 
@@ -364,18 +358,9 @@ class FilterModel:
         return self.score_tags(instruction, [tag])[0]
 
     def score_tags(self, instruction: str, tags: Sequence[str]) -> list[float]:
-        """`score(instruction, tag)` for each tag, hashing the instruction once.
-
-        Each tag's logit adds its weighted features in feature order, as
-        training does, so every score is bit-identical to scoring it alone.
-        """
+        """`score(instruction, tag)` for each tag, hashing the instruction once."""
         prefixes = _conjunction_prefixes(instruction)
-        feats = [_tag_features(prefixes, tag) for tag in tags]
-        weights = iter(self.weights[[idx for f in feats for idx in f]].tolist())
-        return [
-            _sigmoid(self.bias + sum(next(weights) * val for val in f.values()))
-            for f in feats
-        ]
+        return [_sigmoid(z) for z in _logits(self, [_tag_features(prefixes, t) for t in tags])]
 
     def save(self, path: str | Path):
         nz = np.nonzero(self.weights)[0]
@@ -409,12 +394,21 @@ class FilterModel:
         )
 
 
+def _logits(model: FilterModel, feats: Sequence[dict[int, float]]) -> list[float]:
+    """Bias plus weighted features of each feature dict, added in feature order.
+
+    One gather fetches every weight, so a logit is bit-identical whether its
+    features are scored alone or with others.
+    """
+    weights = iter(model.weights[[idx for f in feats for idx in f]].tolist())
+    return [model.bias + sum(next(weights) * val for val in f.values()) for f in feats]
+
+
 def _mean_bce(model: FilterModel, feats: list[dict[int, float]], labels: np.ndarray) -> float:
     eps = 1e-12
     total = 0.0
-    for f, y in zip(feats, labels):
-        p = model.bias + sum(model.weights[idx] * val for idx, val in f.items())
-        p = min(max(_sigmoid(p), eps), 1.0 - eps)
+    for z, y in zip(_logits(model, feats), labels):
+        p = min(max(_sigmoid(z), eps), 1.0 - eps)
         total += -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
     return total / len(feats)
 
@@ -459,8 +453,8 @@ def train_filter(
             grad: dict[int, float] = {}
             grad_bias = 0.0
             scale = 1.0 / len(batch)
-            for j in batch:
-                z = model.bias + sum(model.weights[idx] * val for idx, val in feats[j].items())
+            # the weights change only after the batch, so one gather serves it all
+            for j, z in zip(batch, _logits(model, [feats[j] for j in batch])):
                 err = (_sigmoid(z) - labels[j]) * scale
                 grad_bias += err
                 for idx, val in feats[j].items():

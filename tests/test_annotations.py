@@ -336,6 +336,22 @@ def test_load_names_file_and_line_of_a_cut_off_row(tmp_path, annotation_index):
         AnnotationIndex.load(out)
 
 
+def test_lookup_through_a_row_cut_inside_its_length_says_to_rebuild(tmp_path, annotation_index):
+    out = tmp_path / "index"
+    annotation_index.save(out)
+    records = out / "records.tsv"
+    text = records.read_text(encoding="utf-8")
+    assert text.endswith("Q9N5Y2\t3343\t857\n")
+    records.write_text(text[: -len("57\n")], encoding="utf-8")  # the row now ends in `\t8`
+    index = AnnotationIndex.load(out)
+    with pytest.raises(IndexBuildError) as info:
+        index.lookup("Q9N5Y2")
+    assert str(info.value).startswith(
+        f"{annotation_index.dat_path}: entry Q9N5Y2 at offset 3343, length 8 does not parse")
+    assert str(info.value).endswith("rebuild the index")
+    assert isinstance(info.value.__cause__, ParseError)
+
+
 def test_duplicate_accession_lists_offsets(tmp_path):
     dup = (
         "ID   A_TEST                  Reviewed;          10 AA.\n"

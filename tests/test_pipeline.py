@@ -228,6 +228,13 @@ def test_config_requires_filter_model_for_horizontal_modes(index_dir_module, tmp
         Pipeline(config)
 
 
+def test_config_requires_index_for_hits(index_dir_module, filter_model_module, tmp_path):
+    config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
+    config = replace(config, paths=replace(config.paths, index_dir=None))
+    with pytest.raises(ConfigError, match="paths.hits requires paths.index_dir"):
+        Pipeline(config)
+
+
 # -- stage failures --------------------------------------------------------------------
 
 STAGE_FAULTS = ("lookup", "score_tags", "embed", "generate", "no_index")
@@ -346,17 +353,27 @@ def test_batch_is_resumable(index_dir_module, filter_model_module, tmp_path):
     assert summary3["skipped_existing"] == 7
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{not utf-8}\n", b'[{"config_digest": "x"}]\n'],
-                         ids=["not-utf8", "json-array"])
+def _with_stage_error(good: bytes) -> bytes:
+    """The artifact as a run whose generator failed left it: current digest, one error."""
+    artifact = json.loads(good)
+    artifact["answer"] = None
+    artifact["errors"] = [{"stage": "generation", "error": "GatewayError: generator down"}]
+    return json.dumps(artifact).encode("utf-8")
+
+
+@pytest.mark.parametrize("damage", [lambda good: b"\xff\xfe{not utf-8}\n",
+                                    lambda good: b'[{"config_digest": "x"}]\n',
+                                    _with_stage_error],
+                         ids=["not-utf8", "json-array", "stage-error"])
 def test_batch_reruns_unreadable_existing_artifact(index_dir_module, filter_model_module,
-                                                   tmp_path, content):
+                                                   tmp_path, damage):
     config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
     out = tmp_path / "run"
     pipe = Pipeline(config)
     pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
     target = out / "artifacts" / "case-r1.json"
     good = target.read_bytes()
-    target.write_bytes(content)
+    target.write_bytes(damage(good))
     summary = pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
     assert (summary["processed"], summary["skipped_existing"]) == (1, 9)
     assert target.read_bytes() == good
@@ -553,18 +570,17 @@ def _reference_labels(config, records, index, hits_by_query, gateway):
     """Labelling without reuse: every snippet scores both legs of every fragment."""
     scorer = gateway.scorer_handle(config.scorer)
 
-    def snippet_source(record):
+    def label_record(record):
         selected = rank_and_select(hits_by_query.get(record.id, []), config.retrieval,
                                    query_length=len(record.sequence))
-        return assemble_raw_pool(selected, index, config.retrieval.resolve_go).snippets()
+        snippets = assemble_raw_pool(selected, index, config.retrieval.resolve_go).snippets()
+        return [(snippet.tag, segment_ig(scorer,
+                                         make_query_context(record.instruction, record.sequence),
+                                         snippet_document(snippet.tag, snippet.value),
+                                         split_fragments(record.answer), config.ig))
+                for snippet in snippets]
 
-    def ig_fn(record, snippet):
-        return segment_ig(scorer, make_query_context(record.instruction, record.sequence),
-                          snippet_document(snippet.tag, snippet.value),
-                          split_fragments(record.answer), config.ig)
-
-    return build_distillation_set(records, snippet_source, ig_fn, tau=config.ig.tau,
-                                  seed=config.seed)
+    return build_distillation_set(records, label_record, tau=config.ig.tau, seed=config.seed)
 
 
 def test_label_dataset_sends_each_scorer_request_once_per_record(index_dir_module):
@@ -582,6 +598,13 @@ def test_label_dataset_sends_each_scorer_request_once_per_record(index_dir_modul
     assert labelled == reference  # same labels and IG values, in the same order
     assert len(reference_sent) == 114
     assert len(sent) == 58 == len(set(reference_sent))
+
+
+def test_label_dataset_reads_no_answer_of_a_record_without_snippets(index_dir_module):
+    blank = QARecord(id="no-hits", instruction="Describe it.", sequence="MKV", task="function",
+                     instruction_type="function", answer="  ")
+    index = AnnotationIndex.load(index_dir_module)
+    assert label_dataset(PipelineConfig(), [blank], index, {}, Gateway()) == ([], [])
 
 
 # -- blast invocation ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import re
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +23,7 @@ from homorag.tag_filter import (
     ScorerError,
     TokenProbSequence,
     build_distillation_set,
+    extract_features,
     gate,
     information_gain,
     label_snippet,
@@ -310,11 +312,16 @@ def fake_source(record):
     ]
 
 
+def fake_labeller(gain):
+    """A `label_record` that gives each of a record's snippets the gain `gain(snippet)`."""
+    return lambda record: [(s.tag, gain(s)) for s in fake_source(record)]
+
+
 def test_distillation_sampling_and_split_counts():
     records = [FakeRecord(f"a{i}", "alpha") for i in range(150)]
     records += [FakeRecord(f"b{i}", "beta") for i in range(150)]
     train, test = build_distillation_set(
-        records, fake_source, lambda r, s: 0.05, per_type=100, seed=3
+        records, fake_labeller(lambda s: 0.05), per_type=100, seed=3
     )
     assert len(train) == 160 and len(test) == 40
     assert all(ex.label == 1 for ex in train + test)
@@ -323,7 +330,7 @@ def test_distillation_sampling_and_split_counts():
 def test_distillation_undersized_type():
     records = [FakeRecord(f"a{i}", "alpha") for i in range(30)]
     train, test = build_distillation_set(
-        records, fake_source, lambda r, s: 0.0, per_type=100, seed=3
+        records, fake_labeller(lambda s: 0.0), per_type=100, seed=3
     )
     assert len(train) == 24 and len(test) == 6
     assert all(ex.label == 0 for ex in train + test)
@@ -334,7 +341,7 @@ def test_distillation_deterministic_under_seed(tmp_path):
     out = []
     for run in range(2):
         train, test = build_distillation_set(
-            records, fake_source, lambda r, s: 0.02 if s.value.endswith("-0") else 0.0,
+            records, fake_labeller(lambda s: 0.02 if s.value.endswith("-0") else 0.0),
             per_type=10, seed=9,
         )
         p1, p2 = tmp_path / f"train{run}.jsonl", tmp_path / f"test{run}.jsonl"
@@ -346,7 +353,7 @@ def test_distillation_deterministic_under_seed(tmp_path):
 
 def test_distillation_empty_dataset():
     with pytest.raises(ValueError, match="empty"):
-        build_distillation_set([], fake_source, lambda r, s: 0.0)
+        build_distillation_set([], fake_labeller(lambda s: 0.0))
 
 
 def test_examples_round_trip(tmp_path):
@@ -414,6 +421,58 @@ def test_metadata_records_recipe():
         "learning_rate": 1e-5, "batch_size": 64, "epochs": 4,
     }
     assert model.metadata["learning_rate"] == 1.0
+
+
+def _reference_train(examples, epochs, learning_rate, batch_size, seed):
+    """Mini-batch descent written out per example: a scalar logit for each example
+    and a dict gradient per batch. Returns (weights, bias, loss after each epoch)."""
+    labels = np.array([ex.label for ex in examples], dtype=float)
+    feats = [extract_features(ex.instruction, ex.tag) for ex in examples]
+    weights, bias = np.zeros(FEATURE_DIM), 0.0
+
+    def prob(f):
+        z = bias + sum(weights[idx] * val for idx, val in f.items())
+        return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
+
+    def mean_bce():
+        total = 0.0
+        for f, y in zip(feats, labels):
+            p = min(max(prob(f), 1e-12), 1.0 - 1e-12)
+            total += -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
+        return total / len(feats)
+
+    rng = np.random.default_rng(seed)
+    losses = [mean_bce()]
+    for _ in range(epochs):
+        order = rng.permutation(len(examples))
+        for start in range(0, len(examples), batch_size):
+            batch = order[start: start + batch_size]
+            grad, grad_bias = {}, 0.0
+            for j in batch:
+                err = (prob(feats[j]) - labels[j]) * (1.0 / len(batch))
+                grad_bias += err
+                for idx, val in feats[j].items():
+                    grad[idx] = grad.get(idx, 0.0) + err * val
+            for idx, g in grad.items():
+                weights[idx] -= learning_rate * g
+            bias -= learning_rate * grad_bias
+        losses.append(mean_bce())
+    return weights, bias, losses
+
+
+@pytest.mark.parametrize("epochs, learning_rate, batch_size, seed", [
+    (4, 1.0, 64, 0),
+    (3, 0.05, 7, 5),  # a short last batch
+])
+def test_training_bit_identical_to_straight_line_reference(epochs, learning_rate, batch_size,
+                                                            seed):
+    examples = make_synthetic_examples(SYNTH_TYPES, per_type=30, seed=seed)
+    model = train_filter(examples, epochs=epochs, learning_rate=learning_rate,
+                         batch_size=batch_size, seed=seed)
+    weights, bias, losses = _reference_train(examples, epochs, learning_rate, batch_size, seed)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert float(model.bias).hex() == float(bias).hex()
+    assert model.metadata["train_loss_per_epoch"] == losses
 
 
 # -- scoring and serialization ---------------------------------------------------------------------
