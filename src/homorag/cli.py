@@ -17,7 +17,7 @@ from . import __version__
 from .annotations import AnnotationIndex, build_index, format_entry
 from .atomic import write_atomic
 from .config import load_config
-from .denoise import vertical_filter
+from .denoise import render_context, vertical_filter
 from .gateway import Gateway
 from .homology import (
     EvidencePool,
@@ -212,14 +212,14 @@ def _cmd_filter(args, config) -> int:
 def _cmd_denoise(args, config) -> int:
     pool = EvidencePool.from_dict(json.loads(Path(args.pool).read_text(encoding="utf-8")))
     gateway = Gateway(cache_dir=config.paths.cache_dir)
-    vertical, context, warnings = vertical_filter(
+    vertical, warnings = vertical_filter(
         pool, gateway.embedder_handle(config.embedder), _with_flags(config.denoise, args)
     )
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.out:
         write_atomic(Path(args.out), pretty_json(vertical.to_dict()).encode("utf-8"))
-    print(context)
+    print(render_context(vertical))
     return 0
 
 

@@ -29,18 +29,15 @@ MODE_STAGES = {"raw_only": (), "horizontal_only": ("horizontal",),
                "vertical_only": ("vertical",), "full_2d": ("horizontal", "vertical")}
 MODES = tuple(MODE_STAGES)
 
-# Deterministic in-process backends used by --offline runs and tests.
+# Deterministic in-process backends used by --offline runs and tests; its keys
+# are the backend roles.
 MOCK_ENDPOINTS = {
     "scorer": "mock:keyword-boost",
     "embedder": "mock:hash(dim=32)",
     "generator": "mock:echo",
 }
 
-ENV_ENDPOINT_VARS = {
-    "scorer": "HOMORAG_SCORER_ENDPOINT",
-    "embedder": "HOMORAG_EMBEDDER_ENDPOINT",
-    "generator": "HOMORAG_GENERATOR_ENDPOINT",
-}
+ENV_ENDPOINT_VARS = {role: f"HOMORAG_{role.upper()}_ENDPOINT" for role in MOCK_ENDPOINTS}
 ENV_API_KEY_VAR = "HOMORAG_API_KEY"
 
 # Fine-tuning recipe of the transformer encoder that the hashed-feature
@@ -158,7 +155,7 @@ class BackendConfig:
     max_prompt_chars: int = 100_000
 
     def __post_init__(self):
-        if self.role not in ("scorer", "embedder", "generator"):
+        if self.role not in MOCK_ENDPOINTS:
             raise ConfigError(f"backend role must be scorer|embedder|generator, got {self.role!r}")
         if self.max_in_flight < 1:
             raise ConfigError(f"backend.max_in_flight must be >= 1, got {self.max_in_flight}")
@@ -230,7 +227,6 @@ class PipelineConfig:
 _SECTION_TYPES = {f.name: f.default_factory for f in fields(PipelineConfig)
                   if isinstance(f.default_factory, type)}
 _SCALAR_KEYS = ("mode", "seed")
-_BACKEND_ROLES = ("scorer", "embedder", "generator")
 
 
 def _build_section(cls, data: dict, where: str):
@@ -257,7 +253,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
             if not isinstance(val, dict):
                 raise ConfigError("section 'backends' must be a mapping")
             for role, spec in val.items():
-                if role not in _BACKEND_ROLES:
+                if role not in MOCK_ENDPOINTS:
                     raise ConfigError(f"unknown backend role 'backends.{role}'")
                 spec = dict(spec or {})
                 spec.setdefault("role", role)

@@ -15,9 +15,8 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .annotations import AnnotationSnippet
 from .config import DenoiseConfig
-from .homology import EvidencePool, PoolHomolog, Stage
+from .homology import EvidencePool, Stage
 
 
 class EmbeddingError(RuntimeError):
@@ -253,27 +252,10 @@ def render_context(pool: EvidencePool) -> str:
 
 def assemble_context(
     pool: EvidencePool,
-    selected_indices: Optional[Sequence[int]] = None,
+    selected_indices: Sequence[int],
 ) -> tuple[EvidencePool, str]:
-    """Build the final-stage pool from selected flat indices and render it.
-
-    Snippets stay in (homolog rank, original order) order; rendering the
-    same selection twice is byte-identical.
-    """
-    if selected_indices is None:
-        selected = set(range(len(pool.snippets())))
-    else:
-        selected = set(selected_indices)
-    homologs = []
-    cursor = 0
-    for h in pool.homologs:
-        kept: list[AnnotationSnippet] = []
-        for s in h.snippets:
-            if cursor in selected:
-                kept.append(s)
-            cursor += 1
-        homologs.append(PoolHomolog(rank=h.rank, hit=h.hit, snippets=tuple(kept)))
-    vertical = EvidencePool(stage=Stage.VERTICAL, homologs=tuple(homologs), warnings=pool.warnings)
+    """The VERTICAL pool of the selected flat indices, and its rendering."""
+    vertical = pool.keep(Stage.VERTICAL, selected_indices)
     return vertical, render_context(vertical)
 
 
@@ -281,17 +263,16 @@ def vertical_filter(
     pool: EvidencePool,
     embedder: EmbeddingProvider,
     cfg: DenoiseConfig,
-) -> tuple[EvidencePool, str, tuple[str, ...]]:
+) -> tuple[EvidencePool, tuple[str, ...]]:
     """The vertical stage: embed the pool's snippet values, cluster them and
     keep the anchor homologs' clusters.
 
-    Returns the vertical pool, its rendered context and the anchor
-    selection's warnings. A pool without snippets is passed on empty without
-    an embedding request.
+    Returns the vertical pool and the anchor selection's warnings. A pool
+    without snippets is passed on empty without an embedding request.
     """
     flat = pool.snippets()
     if not flat:
-        return (*assemble_context(pool, []), ())
+        return assemble_context(pool, [])[0], ()
     vectors = embed_values(embedder, [s.value for s in flat])
     selection = select_anchor_clusters(dbscan(vectors, cfg), pool, cfg.anchor_top_m)
-    return (*assemble_context(pool, selection.indices), selection.warnings)
+    return assemble_context(pool, selection.indices)[0], selection.warnings

@@ -214,8 +214,7 @@ class PoolHomolog:
         snippets = []
         for s in d["snippets"]:
             s = dict(s)
-            s.setdefault("homolog_rank", rank)  # hand-written pools may omit it
-            if s["homolog_rank"] is None:
+            if s.get("homolog_rank") is None:  # hand-written pools may omit it
                 s["homolog_rank"] = rank
             snippets.append(AnnotationSnippet.from_dict(s))
         return cls(rank=rank, hit=HomologHit.from_dict(d["hit"]), snippets=tuple(snippets))
@@ -247,6 +246,19 @@ class EvidencePool:
     def snippet_multiset(self) -> Counter:
         return Counter(s.key() for s in self.snippets())
 
+    def keep(self, stage: Stage, indices: Iterable[int]) -> "EvidencePool":
+        """This pool at `stage` with only the snippets at the given positions
+        in `snippets()`, in order. Every homolog slot stays in rank order, even
+        when it ends up empty, and this pool's warnings carry over."""
+        wanted = set(indices)
+        homologs = []
+        start = 0
+        for h in self.homologs:
+            kept = tuple(s for i, s in enumerate(h.snippets, start) if i in wanted)
+            homologs.append(PoolHomolog(rank=h.rank, hit=h.hit, snippets=kept))
+            start += len(h.snippets)
+        return EvidencePool(stage=stage, homologs=tuple(homologs), warnings=self.warnings)
+
     def to_dict(self) -> dict:
         return {
             "stage": self.stage.value,
@@ -273,7 +285,7 @@ def assemble_raw_pool(
     Hits whose accession is missing from the index are skipped with a
     recorded warning and the remaining homologs are renumbered contiguously.
     """
-    found: list[tuple[HomologHit, list[AnnotationSnippet]]] = []
+    homologs: list[PoolHomolog] = []
     warnings: list[str] = []
     for hit in top_hits:
         try:
@@ -287,10 +299,7 @@ def assemble_raw_pool(
         if resolve_go:
             for gid in entry.go_ids:
                 snippets.extend(index.resolve_go(gid, source_accession=entry.accession))
-        found.append((hit, snippets))
-
-    homologs = []
-    for rank, (hit, snippets) in enumerate(found, start=1):
+        rank = len(homologs) + 1
         ranked = tuple(s.with_rank(rank) for s in snippets)
         homologs.append(PoolHomolog(rank=rank, hit=hit, snippets=ranked))
     return EvidencePool(stage=Stage.RAW, homologs=tuple(homologs), warnings=tuple(warnings))

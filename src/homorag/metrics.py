@@ -9,6 +9,7 @@ invariant to non-entity wording.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -32,29 +33,35 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
-def bleu_core(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> float:
-    """BLEU over token sequences: geometric mean of modified n-gram
-    precisions up to max_n with brevity penalty; zero counts are smoothed to
-    BLEU_EPSILON. The order is clipped to the shorter sequence length so an
-    exact copy scores 1.0 even when both sides are shorter than max_n."""
+def bleu_scores(
+    candidate: Sequence[str], reference: Sequence[str], orders: Sequence[int],
+) -> list[float]:
+    """BLEU over token sequences at each max order in `orders`: geometric
+    mean of modified n-gram precisions up to that order with brevity penalty;
+    zero counts are smoothed to BLEU_EPSILON. The order is clipped to the
+    shorter sequence length so an exact copy scores 1.0 even when both sides
+    are shorter than the order. Each n-gram order is counted once for all
+    the scores."""
     c, r = len(candidate), len(reference)
     if c == 0 or r == 0:
-        return 0.0
-    max_n = max(1, min(max_n, c, r))
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        total = max(0, c - n + 1)
-        if total == 0:
-            precision = BLEU_EPSILON
-        else:
-            cand_counts = _ngrams(candidate, n)
-            ref_counts = _ngrams(reference, n)
-            shared = cand_counts.keys() & ref_counts.keys()
-            matches = sum(min(cand_counts[gram], ref_counts[gram]) for gram in shared)
-            precision = matches / total if matches > 0 else BLEU_EPSILON
-        log_sum += math.log(precision)
+        return [0.0] * len(orders)
+    clipped = [max(1, min(n, c, r)) for n in orders]
+    log_precisions = []
+    for n in range(1, max(clipped) + 1):  # n <= min(c, r): each side has an n-gram
+        cand_counts = _ngrams(candidate, n)
+        ref_counts = _ngrams(reference, n)
+        shared = cand_counts.keys() & ref_counts.keys()
+        matches = sum(min(cand_counts[gram], ref_counts[gram]) for gram in shared)
+        log_precisions.append(math.log(matches / (c - n + 1) if matches > 0 else BLEU_EPSILON))
+    # running sums added left to right (sum() of floats rounds differently on 3.12+)
+    log_sums = list(itertools.accumulate(log_precisions))
     brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return brevity * math.exp(log_sum / max_n)
+    return [brevity * math.exp(log_sums[n - 1] / n) for n in clipped]
+
+
+def bleu_core(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> float:
+    """BLEU up to order max_n; see `bleu_scores`."""
+    return bleu_scores(candidate, reference, (max_n,))[0]
 
 
 def bleu4(candidate: str, reference: str) -> float:
@@ -196,11 +203,12 @@ def score_record(candidate: str, reference: str, lexicon: EntityLexicon) -> Reco
     per side."""
     cand, ref = tokenize(candidate), tokenize(reference)
     cand_entities, ref_entities = lexicon.scan(cand), lexicon.scan(ref)
+    e_bleu2, e_bleu4 = bleu_scores(cand_entities, ref_entities, (2, 4))
     return RecordScores(
         bleu4=bleu_core(cand, ref, 4),
         rouge_l=rouge_l_core(cand, ref),
-        e_bleu2=bleu_core(cand_entities, ref_entities, 2),
-        e_bleu4=bleu_core(cand_entities, ref_entities, 4),
+        e_bleu2=e_bleu2,
+        e_bleu4=e_bleu4,
         ref_entities_empty=not ref_entities,
     )
 

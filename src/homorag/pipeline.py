@@ -200,15 +200,22 @@ def safe_filename(record_id: str) -> str:
     return _SAFE_ID_RE.sub("_", record_id)
 
 
+def _read_artifact(path: Path) -> Optional[dict]:
+    """The JSON object that path holds as UTF-8, or None when it cannot be
+    read, does not decode or holds anything but an object."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep nesting is a RecursionError
+    except (OSError, ValueError, RecursionError):
+        return None
+    return data if isinstance(data, dict) else None
+
+
 def _is_done(path: Path, digest: str) -> bool:
     """Whether path holds a readable artifact made under the config digest
     with no stage error, so a record that failed is run again."""
-    try:
-        existing = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-        return False
-    return (isinstance(existing, dict) and existing.get("config_digest") == digest
-            and not existing.get("errors"))
+    existing = _read_artifact(path) or {}
+    return existing.get("config_digest") == digest and not existing.get("errors")
 
 
 def _batch_workers(config: PipelineConfig) -> int:
@@ -281,7 +288,7 @@ class Pipeline:
                 if name == "horizontal":
                     pool = gate(pool, self.filter_model, record.instruction)
                 else:
-                    pool, _, warnings = vertical_filter(
+                    pool, warnings = vertical_filter(
                         pool, self.gateway.embedder_handle(cfg.embedder), cfg.denoise)
                     artifact.warnings.extend(warnings)
                 artifact.pools[name] = pool.to_dict()
@@ -351,7 +358,9 @@ def run_eval(
     rows = []
     missing_reference = 0
     for path in candidates:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = _read_artifact(path)
+        if data is None:
+            raise ValueError(f"{path}: not a UTF-8 JSON object")
         if "record_id" not in data:
             continue
         reference = data.get("reference")

@@ -29,7 +29,7 @@ import numpy as np
 from .annotations import normalize_tag
 from .atomic import write_atomic
 from .config import ENCODER_RECIPE, IgConfig, PipelineConfig, TrainConfig
-from .homology import EvidencePool, PoolHomolog, Stage
+from .homology import EvidencePool, Stage
 
 PROB_FLOOR = 1e-9
 FEATURE_DIM = 2 ** 18
@@ -482,11 +482,7 @@ def gate(pool: EvidencePool, model: FilterModel, instruction: str) -> EvidencePo
     """
     if pool.stage not in (Stage.RAW, Stage.HORIZONTAL):
         raise ValueError(f"gate expects a RAW or HORIZONTAL pool, got {pool.stage}")
-    tags = list(dict.fromkeys(s.tag for s in pool.snippets()))
+    flat = pool.snippets()
+    tags = list(dict.fromkeys(s.tag for s in flat))
     relevant = {tag for tag, p in zip(tags, model.score_tags(instruction, tags)) if p > 0.5}
-    homologs = tuple(
-        PoolHomolog(rank=h.rank, hit=h.hit,
-                    snippets=tuple(s for s in h.snippets if s.tag in relevant))
-        for h in pool.homologs
-    )
-    return EvidencePool(stage=Stage.HORIZONTAL, homologs=homologs, warnings=pool.warnings)
+    return pool.keep(Stage.HORIZONTAL, [i for i, s in enumerate(flat) if s.tag in relevant])

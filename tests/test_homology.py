@@ -1,11 +1,14 @@
 """Hit parsing, ranking, exclusion filters, and raw pool assembly."""
 
+import ast
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homorag.annotations import AnnotationSnippet
 from homorag.config import RetrievalConfig
 from homorag.homology import (
     BlastParseError,
@@ -328,6 +331,89 @@ def test_pool_requires_contiguous_ranks():
 def test_pool_round_trips_through_dict(annotation_index):
     pool = assemble_raw_pool([make_hit(acc="Q55C17")], annotation_index)
     assert EvidencePool.from_dict(pool.to_dict()) == pool
+
+
+# -- keep: the one way to derive a filtered pool ----------------------------------------
+
+@st.composite
+def pools(draw):
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=4), max_size=5))
+    homologs = tuple(
+        PoolHomolog(rank=rank, hit=make_hit(acc=f"P{rank:05d}"), snippets=tuple(
+            AnnotationSnippet(tag=draw(st.sampled_from(["FUNCTION", "DOMAIN", "GO"])),
+                              value=f"v{rank}.{j}", source_accession=f"P{rank:05d}",
+                              homolog_rank=rank)
+            for j in range(size)))
+        for rank, size in enumerate(sizes, start=1)
+    )
+    warnings = tuple(draw(st.lists(st.sampled_from(["w1", "w2"]), max_size=2)))
+    return EvidencePool(stage=draw(st.sampled_from(list(Stage))), homologs=homologs,
+                        warnings=warnings)
+
+
+def keep_reference(pool, indices):
+    """(rank, hit, snippets) per slot, by walking the flat positions one by one."""
+    wanted = set(indices)
+    slots = []
+    position = 0
+    for h in pool.homologs:
+        kept = []
+        for s in h.snippets:
+            if position in wanted:
+                kept.append(s)
+            position += 1
+        slots.append((h.rank, h.hit, tuple(kept)))
+    return slots
+
+
+@settings(max_examples=300)
+@given(pools(), st.data(), st.sampled_from(list(Stage)))
+def test_keep_matches_reference(pool, data, stage):
+    n = len(pool.snippets())
+    indices = data.draw(st.lists(st.integers(min_value=0, max_value=max(n - 1, 0)), max_size=8))
+    kept = pool.keep(stage, indices)
+    assert kept.stage == stage
+    assert kept.warnings == pool.warnings
+    assert [(h.rank, h.hit, h.snippets) for h in kept.homologs] == keep_reference(pool, indices)
+    assert kept.snippets() == [s for i, s in enumerate(pool.snippets()) if i in set(indices)]
+
+    everything = pool.keep(stage, range(n))
+    assert everything.homologs == pool.homologs
+    assert everything.snippets() == pool.snippets()
+    nothing = pool.keep(stage, [])
+    assert [(h.rank, h.hit) for h in nothing.homologs] == [(h.rank, h.hit) for h in pool.homologs]
+    assert all(h.snippets == () for h in nothing.homologs)
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "homorag"
+
+
+def pool_homolog_calls(source: str) -> list[int]:
+    """Line numbers of calls to `PoolHomolog(...)`, bare or through a module."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "PoolHomolog"
+            or getattr(node.func, "attr", None) == "PoolHomolog")
+    )
+
+
+def test_scan_finds_each_way_of_building_a_slot():
+    source = "\n".join([
+        "PoolHomolog(rank=1, hit=h, snippets=())", "homology.PoolHomolog(1, h, ())",
+        "PoolHomolog.from_dict(d)", "x = PoolHomolog", "keep(PoolHomolog)",
+    ])
+    assert pool_homolog_calls(source) == [1, 2]
+
+
+def test_only_homology_builds_pool_slots():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert pool_homolog_calls((PACKAGE / "homology.py").read_text(encoding="utf-8"))
+    builders = {
+        path.name: found for path in modules if path.name != "homology.py"
+        if (found := pool_homolog_calls(path.read_text(encoding="utf-8")))
+    }
+    assert builders == {}
 
 
 # -- fasta ----------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import threading
 import time
@@ -363,8 +364,9 @@ def _with_stage_error(good: bytes) -> bytes:
 
 @pytest.mark.parametrize("damage", [lambda good: b"\xff\xfe{not utf-8}\n",
                                     lambda good: b'[{"config_digest": "x"}]\n',
+                                    lambda good: b"[" * 100_000,
                                     _with_stage_error],
-                         ids=["not-utf8", "json-array", "stage-error"])
+                         ids=["not-utf8", "json-array", "too-deep", "stage-error"])
 def test_batch_reruns_unreadable_existing_artifact(index_dir_module, filter_model_module,
                                                    tmp_path, damage):
     config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
@@ -518,6 +520,25 @@ def test_run_eval_identical_answers_score_100(tmp_path):
 def test_run_eval_empty_dir_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         run_eval(tmp_path, EntityLexicon(["x"]))
+
+
+@pytest.mark.parametrize("content", [
+    b'{"record_id": "b", "answ', b"5", b"[]", b'"text"', b"\xff\xfe{}", b"[" * 100_000,
+], ids=["truncated", "number", "list", "string", "not-utf8", "too-deep"])
+def test_run_eval_names_an_unreadable_artifact(tmp_path, capsys, content):
+    art_dir = tmp_path / "artifacts"
+    art_dir.mkdir()
+    (art_dir / "a.json").write_text(json.dumps({
+        "record_id": "a", "task": "t", "answer": "x", "reference": "x",
+    }), encoding="utf-8")
+    bad = art_dir / "b.json"
+    bad.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: not a UTF-8 JSON object")):
+        run_eval(tmp_path, EntityLexicon(["x"]))
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("x\n", encoding="utf-8")
+    assert cli.main(["qa", "eval", "--artifacts", str(tmp_path), "--lexicon", str(lexicon)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not a UTF-8 JSON object\n"
 
 
 def test_run_eval_counts_missing_references(tmp_path):
@@ -868,8 +889,8 @@ def test_cli_denoise_reads_denoise_section(pipeline, tmp_path, capsys, records):
     config = load_config(config_path, offline=True)
     pool = EvidencePool.from_dict(artifact.pools["raw"])
     embedder = Gateway().embedder_handle(config.embedder)
-    expected = vertical_filter(pool, embedder, config.denoise)[1]
-    default = vertical_filter(pool, embedder, DenoiseConfig())[1]
+    expected = render_context(vertical_filter(pool, embedder, config.denoise)[0])
+    default = render_context(vertical_filter(pool, embedder, DenoiseConfig())[0])
     assert expected != default
 
     denoise = ["--config", str(config_path), "--offline", "denoise", "--pool", str(pool_path)]
