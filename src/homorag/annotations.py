@@ -37,11 +37,11 @@ _GO_NAMESPACES = ("molecular_function", "biological_process", "cellular_componen
 
 
 class ParseError(ValueError):
-    """Malformed record; the message names the offending line number."""
+    """Malformed input; the message names the line, as `path:line` when the file is known."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    def __init__(self, message: str, line: int, path: Optional[str] = None):
+        super().__init__(f"{path}:{line}: {message}" if path else f"line {line}: {message}")
+        self.message, self.line = message, line
 
 
 class IndexBuildError(ValueError):
@@ -138,123 +138,91 @@ class ProteinEntry:
                 )
 
 
-def _flush_cc(snippets: list, topic: Optional[str], parts: list, start_line: int, accession: str):
-    if topic is None:
-        return
-    value = " ".join(p for p in parts if p)
-    if not value.strip():
-        raise ParseError(f"CC block {topic!r} has no text", start_line)
-    snippets.append(AnnotationSnippet(tag=topic, value=value, source_accession=accession))
-
-
-def _flush_ft(snippets: list, key: Optional[str], loc: str, extras: list, accession: str):
-    if key is None:
-        return
-    joined = " ".join(extras)
-    note = _NOTE_RE.search(joined)
-    value = f"{key} {loc}".strip()
-    if note and note.group(1).strip():
-        value = f"{value}: {note.group(1).strip()}"
-    snippets.append(AnnotationSnippet(tag="DOMAIN_MOTIF", value=value, source_accession=accession))
-
-
 def parse_entry(record_text: str, line_offset: int = 0) -> ProteinEntry:
     """Parse one flat-file record (text up to and including its '//' line).
 
-    Multi-line CC values are joined with single spaces; evidence citations
-    inside values are kept verbatim.
+    One pass over the lines. A CC block ends at the next topic, the `CC   ---`
+    footer or any non-CC line; an FT feature at the next feature key or any
+    line that is neither FT nor CC. Snippets come out in the order their
+    blocks end; multi-line CC values are joined with single spaces. The first
+    faulty line raises ParseError; a missing ID or AC line only after that.
     """
-    lines = record_text.splitlines()
-    first_line = line_offset + 1
-
-    id_line_no = None
-    sequence_length = None
-    for i, line in enumerate(lines):
-        if line.startswith("ID"):
-            m = _ID_LINE_RE.match(line)
-            if not m:
-                raise ParseError(f"malformed ID line: {line!r}", line_offset + i + 1)
-            id_line_no = line_offset + i + 1
-            sequence_length = int(m.group(2))
-            break
-    if id_line_no is None:
-        raise ParseError("missing ID line", first_line)
-
+    sequence_length: Optional[int] = None
     accessions: list[str] = []
-    for i, line in enumerate(lines):
-        if line.startswith("AC   "):
-            for tok in line[5:].split(";"):
+    found: list[tuple[str, str]] = []  # (tag, value) in the order blocks end
+    go_ids: list[str] = []
+    topic: Optional[str] = None  # open CC block, as written: AnnotationSnippet normalises it
+    cc_parts: list[str] = []
+    cc_start = 0
+    feature: Optional[str] = None  # open DOMAIN/MOTIF/REGION head, "<KEY> <location>"
+    ft_extras: list[str] = []
+    # the empty line after the last ends any block still open
+    for n, line in enumerate([*record_text.splitlines(), ""], line_offset + 1):
+        code, body = line[:5], line[5:]
+        is_cc = code == "CC   "
+        if is_cc and not body.startswith(("-!- ", "---")):
+            if topic is not None:
+                cc_parts.append(body.strip())
+            continue
+        if topic is not None:
+            value = " ".join(filter(None, cc_parts))
+            if not value:
+                raise ParseError(f"CC block {normalize_tag(topic)!r} has no text", cc_start)
+            found.append((topic, value))
+            topic = None
+        if is_cc:
+            if body[:4] == "-!- ":  # else the copyright footer, not annotation text
+                topic, sep, rest = body[4:].partition(":")
+                if not sep:
+                    raise ParseError(f"CC topic line without ':': {line!r}", n)
+                cc_parts, cc_start = [rest.strip()], n
+            continue
+        is_ft = code == "FT   "
+        if is_ft and body[:1] == " ":
+            if feature is not None:
+                ft_extras.append(body.strip())
+            continue
+        if feature is not None:
+            note = _NOTE_RE.search(" ".join(ft_extras))
+            if note and note.group(1).strip():
+                feature = f"{feature}: {note.group(1).strip()}"
+            found.append(("DOMAIN_MOTIF", feature))
+            feature = None
+        if is_ft:
+            parts = body.split(None, 1)
+            if not parts:
+                raise ParseError(f"FT line without a feature key: {line!r}", n)
+            key = parts[0].upper()
+            if key in _FT_KEYS:
+                feature = " ".join([key, *parts[1:]]).rstrip()
+                ft_extras = []
+        elif code == "AC   ":
+            for tok in body.split(";"):
                 tok = tok.strip()
                 if not tok:
                     continue
                 if not _ACCESSION_RE.match(tok):
-                    raise ParseError(f"invalid accession token {tok!r}", line_offset + i + 1)
+                    raise ParseError(f"invalid accession token {tok!r}", n)
                 accessions.append(tok)
+        elif line[:2] == "ID" and sequence_length is None:  # later ID lines are ignored
+            m = _ID_LINE_RE.match(line)
+            if not m:
+                raise ParseError(f"malformed ID line: {line!r}", n)
+            sequence_length = int(m.group(2))
+        elif line[:2] == "DR":
+            m = _DR_GO_RE.match(line)
+            if m:
+                go_ids.append(m.group(1))
+    if sequence_length is None:
+        raise ParseError("missing ID line", line_offset + 1)
     if not accessions:
-        raise ParseError("missing AC line", first_line)
-    primary, secondary = accessions[0], tuple(accessions[1:])
-
-    snippets: list[AnnotationSnippet] = []
-    go_ids: list[str] = []
-
-    cc_topic: Optional[str] = None
-    cc_parts: list[str] = []
-    cc_start = 0
-    ft_key: Optional[str] = None
-    ft_loc = ""
-    ft_extras: list[str] = []
-
-    for i, line in enumerate(lines):
-        n = line_offset + i + 1
-        if line.startswith("CC   "):
-            body = line[5:]
-            if body.startswith("-!- "):
-                _flush_cc(snippets, cc_topic, cc_parts, cc_start, primary)
-                topic, sep, rest = body[4:].partition(":")
-                if not sep:
-                    raise ParseError(f"CC topic line without ':': {line!r}", n)
-                cc_topic = normalize_tag(topic)
-                cc_parts = [rest.strip()] if rest.strip() else []
-                cc_start = n
-            elif body.startswith("---"):
-                # copyright footer, not annotation text
-                _flush_cc(snippets, cc_topic, cc_parts, cc_start, primary)
-                cc_topic = None
-            elif cc_topic is not None:
-                cc_parts.append(body.strip())
-            continue
-        _flush_cc(snippets, cc_topic, cc_parts, cc_start, primary)
-        cc_topic = None
-
-        if line.startswith("FT   "):
-            body = line[5:]
-            if body[:1] != " ":
-                _flush_ft(snippets, ft_key, ft_loc, ft_extras, primary)
-                ft_key = None
-                parts = body.split(None, 1)
-                key = parts[0].upper()
-                if key in _FT_KEYS:
-                    ft_key = key
-                    ft_loc = parts[1].strip() if len(parts) > 1 else ""
-                    ft_extras = []
-            elif ft_key is not None:
-                ft_extras.append(body.strip())
-            continue
-        _flush_ft(snippets, ft_key, ft_loc, ft_extras, primary)
-        ft_key = None
-
-        m = _DR_GO_RE.match(line)
-        if m:
-            go_ids.append(m.group(1))
-
-    _flush_cc(snippets, cc_topic, cc_parts, cc_start, primary)
-    _flush_ft(snippets, ft_key, ft_loc, ft_extras, primary)
-
+        raise ParseError("missing AC line", line_offset + 1)
+    primary = accessions[0]
     return ProteinEntry(
         accession=primary,
-        secondary_accessions=secondary,
+        secondary_accessions=tuple(accessions[1:]),
         sequence_length=sequence_length,
-        snippets=tuple(snippets),
+        snippets=tuple(AnnotationSnippet(tag, value, primary) for tag, value in found),
         go_ids=tuple(go_ids),
     )
 
@@ -286,36 +254,37 @@ def iter_raw_records(path: str | Path) -> Iterator[tuple[bytes, int, int, int]]:
                 start = None
             offset += len(raw)
     if start is not None:
-        raise ParseError("truncated final record (no terminating '//')", start_line)
+        raise ParseError("truncated final record (no terminating '//')", start_line, str(path))
 
 
 def parse_go_file(path: str | Path) -> dict[str, GoTerm]:
-    """Parse OBO-style [Term] stanzas into an id -> GoTerm mapping."""
-    terms: dict[str, GoTerm] = {}
+    """Parse OBO-style [Term] stanzas into an id -> GoTerm mapping.
+
+    A stanza with an id, name and namespace is a term; a malformed one raises
+    ParseError at `path:line` of its `[Term]` header.
+    """
+    stanzas: list[tuple[int, dict]] = []  # (line of the [Term] header, its fields)
     current: Optional[dict] = None
-
-    def flush(stanza: Optional[dict]):
-        if not stanza:
-            return
-        if {"id", "name", "namespace"} <= stanza.keys():
-            term = GoTerm(id=stanza["id"], name=stanza["name"], namespace=stanza["namespace"])
-            terms[term.id] = term
-
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line == "[Term]":
-                flush(current)
-                current = {}
-            elif line.startswith("["):
-                flush(current)
-                current = None
+            if line.startswith("["):
+                current = {} if line == "[Term]" else None
+                if current is not None:
+                    stanzas.append((line_no, current))
             elif current is not None and ":" in line:
                 key, _, val = line.partition(":")
                 key = key.strip()
                 if key in ("id", "name", "namespace"):
                     current[key] = val.strip()
-    flush(current)
+    terms: dict[str, GoTerm] = {}
+    for line_no, stanza in stanzas:
+        if {"id", "name", "namespace"} <= stanza.keys():
+            try:
+                term = GoTerm(**stanza)
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no, str(path)) from exc
+            terms[term.id] = term
     return terms
 
 
@@ -354,7 +323,7 @@ class AnnotationIndex:
             blob = fh.read(length)
         try:
             entry = parse_entry(blob.decode("utf-8"))
-        except ParseError as exc:
+        except (ParseError, UnicodeDecodeError) as exc:
             raise IndexBuildError(
                 f"{self.dat_path}: entry {accession} at offset {offset}, length {length} "
                 f"does not parse ({exc}); rebuild the index"
@@ -456,7 +425,14 @@ def build_index(
     records: dict[str, tuple[int, int]] = {}
     count = 0
     for blob, offset, length, start_line in iter_raw_records(dat_path):
-        entry = parse_entry(blob.decode("utf-8"), line_offset=start_line - 1)
+        try:
+            entry = parse_entry(blob.decode("utf-8"), line_offset=start_line - 1)
+        except ParseError as exc:
+            raise ParseError(exc.message, exc.line, dat_path) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"record is not UTF-8: byte {blob[exc.start]:#04x} at offset "
+                f"{offset + exc.start} ({exc.reason})", start_line, dat_path) from exc
         count += 1
         for acc in (entry.accession, *entry.secondary_accessions):
             if acc in records:

@@ -14,7 +14,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .annotations import AnnotationIndex, build_index, format_entry
+from .annotations import AccessionNotFound, AnnotationIndex, build_index, format_entry
 from .atomic import write_atomic
 from .config import load_config
 from .denoise import render_context, vertical_filter
@@ -144,7 +144,11 @@ def _cmd_index(args, config) -> int:
     if not index_dir:
         raise ValueError("no index directory: pass --index or set paths.index_dir")
     index = AnnotationIndex.load(index_dir)
-    print(format_entry(index.lookup(args.accession)))
+    try:
+        entry = index.lookup(args.accession)
+    except AccessionNotFound:
+        raise LookupError(f"accession {args.accession} is not in the index {index_dir}") from None
+    print(format_entry(entry))
     return 0
 
 

@@ -5,7 +5,7 @@ import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homorag.annotations import (
     AccessionNotFound,
@@ -13,6 +13,7 @@ from homorag.annotations import (
     AnnotationSnippet,
     IndexBuildError,
     ParseError,
+    ProteinEntry,
     build_index,
     format_entry,
     iter_raw_records,
@@ -151,6 +152,258 @@ def test_malformed_id_line():
 def test_line_offset_in_errors():
     with pytest.raises(ParseError, match="line 101"):
         parse_entry("AC   P12345;\n//\n", line_offset=100)
+
+
+def test_bare_ft_line_names_line():
+    record = (
+        "ID   TEST_HUMAN              Reviewed;          10 AA.\n"
+        "AC   P12345;\n"
+        "FT   DOMAIN          1..5\n"
+        "FT   \n"
+        "//\n"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_entry(record)
+    assert str(info.value) == "line 4: FT line without a feature key: 'FT   '"
+
+
+def test_multi_fault_record_reports_its_first_faulty_line():
+    record = (
+        "ID   TEST_HUMAN              Reviewed;          10 AA.\n"
+        "CC   -!- FUNCTION without a colon\n"
+        "AC   bad!;\n"
+        "//\n"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_entry(record)
+    assert str(info.value) == "line 2: CC topic line without ':': 'CC   -!- FUNCTION without a colon'"
+    # a missing ID or AC line is reported only when no line is faulty
+    with pytest.raises(ParseError, match=re.escape("line 2: CC block 'EMPTY' has no text")):
+        parse_entry("DE   x\nCC   -!- Empty:\n//\n")
+
+
+# -- differential check against the three-pass parser -----------------------
+#
+# A straight-line copy of the earlier parser, which walked the lines once for
+# the ID line, once for the AC lines and once for CC/FT/DR. The one-pass parser
+# must return equal entries wherever it returns one.
+
+_REF_ACCESSION_RE = re.compile(r"^[A-Z][A-Z0-9]{5}(?:[A-Z0-9]{4})?$")
+_REF_ID_LINE_RE = re.compile(r"^ID\s+(\S+)\s+.*?(\d+)\s+AA\.?\s*$")
+_REF_DR_GO_RE = re.compile(r"^DR\s+GO;\s+(GO:\d{7});")
+_REF_NOTE_RE = re.compile(r'/note="([^"]*)"')
+
+
+def _ref_flush_cc(snippets, topic, parts, start_line, accession):
+    if topic is None:
+        return
+    value = " ".join(p for p in parts if p)
+    if not value.strip():
+        raise ParseError(f"CC block {topic!r} has no text", start_line)
+    snippets.append(AnnotationSnippet(tag=topic, value=value, source_accession=accession))
+
+
+def _ref_flush_ft(snippets, key, loc, extras, accession):
+    if key is None:
+        return
+    joined = " ".join(extras)
+    note = _REF_NOTE_RE.search(joined)
+    value = f"{key} {loc}".strip()
+    if note and note.group(1).strip():
+        value = f"{value}: {note.group(1).strip()}"
+    snippets.append(AnnotationSnippet(tag="DOMAIN_MOTIF", value=value, source_accession=accession))
+
+
+def reference_parse_entry(record_text, line_offset=0):
+    lines = record_text.splitlines()
+    first_line = line_offset + 1
+
+    id_line_no = None
+    sequence_length = None
+    for i, line in enumerate(lines):
+        if line.startswith("ID"):
+            m = _REF_ID_LINE_RE.match(line)
+            if not m:
+                raise ParseError(f"malformed ID line: {line!r}", line_offset + i + 1)
+            id_line_no = line_offset + i + 1
+            sequence_length = int(m.group(2))
+            break
+    if id_line_no is None:
+        raise ParseError("missing ID line", first_line)
+
+    accessions = []
+    for i, line in enumerate(lines):
+        if line.startswith("AC   "):
+            for tok in line[5:].split(";"):
+                tok = tok.strip()
+                if not tok:
+                    continue
+                if not _REF_ACCESSION_RE.match(tok):
+                    raise ParseError(f"invalid accession token {tok!r}", line_offset + i + 1)
+                accessions.append(tok)
+    if not accessions:
+        raise ParseError("missing AC line", first_line)
+    primary, secondary = accessions[0], tuple(accessions[1:])
+
+    snippets = []
+    go_ids = []
+    cc_topic = None
+    cc_parts = []
+    cc_start = 0
+    ft_key = None
+    ft_loc = ""
+    ft_extras = []
+
+    for i, line in enumerate(lines):
+        n = line_offset + i + 1
+        if line.startswith("CC   "):
+            body = line[5:]
+            if body.startswith("-!- "):
+                _ref_flush_cc(snippets, cc_topic, cc_parts, cc_start, primary)
+                topic, sep, rest = body[4:].partition(":")
+                if not sep:
+                    raise ParseError(f"CC topic line without ':': {line!r}", n)
+                cc_topic = normalize_tag(topic)
+                cc_parts = [rest.strip()] if rest.strip() else []
+                cc_start = n
+            elif body.startswith("---"):
+                _ref_flush_cc(snippets, cc_topic, cc_parts, cc_start, primary)
+                cc_topic = None
+            elif cc_topic is not None:
+                cc_parts.append(body.strip())
+            continue
+        _ref_flush_cc(snippets, cc_topic, cc_parts, cc_start, primary)
+        cc_topic = None
+
+        if line.startswith("FT   "):
+            body = line[5:]
+            if body[:1] != " ":
+                _ref_flush_ft(snippets, ft_key, ft_loc, ft_extras, primary)
+                ft_key = None
+                parts = body.split(None, 1)
+                key = parts[0].upper()
+                if key in {"DOMAIN", "MOTIF", "REGION"}:
+                    ft_key = key
+                    ft_loc = parts[1].strip() if len(parts) > 1 else ""
+                    ft_extras = []
+            elif ft_key is not None:
+                ft_extras.append(body.strip())
+            continue
+        _ref_flush_ft(snippets, ft_key, ft_loc, ft_extras, primary)
+        ft_key = None
+
+        m = _REF_DR_GO_RE.match(line)
+        if m:
+            go_ids.append(m.group(1))
+
+    _ref_flush_cc(snippets, cc_topic, cc_parts, cc_start, primary)
+    _ref_flush_ft(snippets, ft_key, ft_loc, ft_extras, primary)
+
+    return ProteinEntry(
+        accession=primary,
+        secondary_accessions=secondary,
+        sequence_length=sequence_length,
+        snippets=tuple(snippets),
+        go_ids=tuple(go_ids),
+    )
+
+
+FIXTURE_RECORDS = tuple(blob.decode("utf-8") for blob, _, _, _ in iter_raw_records(DAT))
+
+INSERTED_LINES = (
+    "CC   -!- PTM without a colon",                      # CC topic without ':'
+    "CC   -!- COFACTOR:",                                # empty unless a continuation follows
+    "CC   ---------------------------------------------------------------------------",
+    "CC       Continued text for whichever block is open.",
+    "CC   -!- catalytic  activity: Reaction=A + B = C;",  # topic normalised by the snippet
+    "FT   DOMAIN\t10..20",                              # tab after the feature key
+    "FT   motif           5..9",
+    'FT                   /note="Zinc finger"',          # /note continuation
+    'FT                   /note=" "',                    # blank note: no ": <note>" suffix
+    "CC       /note=\"not a feature note\"",             # CC line between FT lines
+    "FT   HELIX           3..4",                         # key outside DOMAIN/MOTIF/REGION
+    "FT   TRANSMEM        30..50",
+    "FT   ",                                             # bare FT line: IndexError in the reference
+    "IDX  not an ID line",
+    "ID   SECOND_ID               Reviewed;          99 AA.",
+    "ID   BROKEN",
+    "AC   bad!;",                                        # bad AC token
+    "AC   Q11111; A0A000B1C2;",                          # extra AC line
+    "DR   GO; GO:0005634; C:nucleus; IEA:InterPro.",
+    "DR   GO; GO:12;",
+    "DR GO; GO:0016887; F:ATP hydrolysis activity; IEA:InterPro.",
+    "XX",
+    "",
+)
+
+
+@st.composite
+def mutated_records(draw):
+    """A fixture entry after up to five line insertions, deletions, swaps and duplications.
+
+    An insertion puts one to three lines in a row, so pairs such as a footer and
+    a continuation, or a feature key and its note, occur often.
+    """
+    lines = draw(st.sampled_from(FIXTURE_RECORDS)).splitlines()
+    for _ in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from(("insert", "delete", "swap", "duplicate")))
+        i = draw(st.integers(0, len(lines)))
+        if op == "insert":
+            lines[i:i] = draw(st.lists(st.sampled_from(INSERTED_LINES), min_size=1, max_size=3))
+        elif lines:
+            i = min(i, len(lines) - 1)
+            if op == "delete":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                j = draw(st.integers(0, len(lines) - 1))
+                lines[i], lines[j] = lines[j], lines[i]
+    return "".join(line + "\n" for line in lines)
+
+
+def fault_kinds(record_text):
+    """Which of the reference's three checks a record fails: "ID", "AC" or "body"."""
+    lines = record_text.splitlines()
+    kinds = set()
+    id_line = next((line for line in lines if line.startswith("ID")), None)
+    if id_line is None or not _REF_ID_LINE_RE.match(id_line):
+        kinds.add("ID")
+    tokens = [tok.strip() for line in lines if line.startswith("AC   ")
+              for tok in line[5:].split(";") if tok.strip()]
+    if not tokens or not all(_REF_ACCESSION_RE.match(tok) for tok in tokens):
+        kinds.add("AC")
+    # the body alone: a valid header, and the record's ID/AC lines as neutral lines
+    body = ["XX" if line.startswith(("ID", "AC   ")) else line for line in lines]
+    header = ["ID   BODY_ONLY               Reviewed;          10 AA.", "AC   P12345;"]
+    try:
+        reference_parse_entry("\n".join(header + body))
+    except (ParseError, IndexError):
+        kinds.add("body")
+    return kinds
+
+
+_KINASE = FIXTURE_RECORDS[3]  # P12345: CC blocks, then DOMAIN/MOTIF/REGION/TRANSMEM features
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_records(), st.integers(0, 500))
+@example(_KINASE.replace('/note="Protein kinase"', '/note=" "'), 0)
+@example(_KINASE.replace("CC   -!- DISRUPTION", "CC   ---\nCC       orphan\nCC   -!- DISRUPTION"), 0)
+def test_one_pass_parser_matches_three_pass_reference(record_text, line_offset):
+    try:
+        expected = reference_parse_entry(record_text, line_offset)
+    except (ParseError, IndexError) as exc:
+        kinds = fault_kinds(record_text)
+        assert kinds
+        with pytest.raises(ParseError) as info:
+            parse_entry(record_text, line_offset)
+        # the reference reports faults by kind, the one-pass parser by line
+        if len(kinds) == 1 and isinstance(exc, ParseError):
+            assert str(info.value) == str(exc)
+    else:
+        assert not fault_kinds(record_text)
+        assert parse_entry(record_text, line_offset) == expected
 
 
 # -- tag normalization --------------------------------------------------------
@@ -373,6 +626,70 @@ def test_truncated_final_record(tmp_path):
     )
     with pytest.raises(ParseError, match="truncated"):
         build_index(dat)
+
+
+def _two_records(second_id_line="ID   B_TEST                  Reviewed;          10 AA.\n"):
+    return (
+        "ID   A_TEST                  Reviewed;          10 AA.\n"
+        "AC   P11111;\n//\n"
+        + second_id_line
+        + "AC   P22222;\n//\n"
+    )
+
+
+def test_build_index_names_flat_file_and_line(tmp_path):
+    dat = tmp_path / "bad.dat"
+    dat.write_text(_two_records("ID   B_TEST broken\n"), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        build_index(dat)
+    assert str(info.value) == f"{dat.resolve()}:4: malformed ID line: 'ID   B_TEST broken'"
+    assert info.value.line == 4
+
+
+def test_truncated_final_record_names_flat_file(tmp_path):
+    dat = tmp_path / "trunc.dat"
+    dat.write_text(_two_records() + "ID   C_TEST                  Reviewed;          10 AA.\n",
+                   encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        build_index(dat)
+    assert str(info.value) == f"{dat.resolve()}:7: truncated final record (no terminating '//')"
+
+
+def test_build_index_refuses_a_record_that_is_not_utf8(tmp_path):
+    dat = tmp_path / "latin1.dat"
+    text = _two_records().replace("AC   P22222;", "AC   P22222;\nDE   Caf\xe9")
+    dat.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ParseError) as info:
+        build_index(dat)
+    assert str(info.value) == (f"{dat.resolve()}:4: record is not UTF-8: byte 0xe9 at offset "
+                               f"{text.index(chr(0xE9))} (invalid continuation byte)")
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+
+def test_lookup_of_a_record_no_longer_utf8_says_to_rebuild(tmp_path):
+    dat, index = _index_over_copy(tmp_path)
+    offset, length = index.records["P67890"]
+    data = bytearray(dat.read_bytes())
+    at = data.index(b"Uncharacterized", offset)
+    data[at] = 0xE9  # same length: the offsets still hold, the bytes no longer decode
+    dat.write_bytes(bytes(data))
+    with pytest.raises(IndexBuildError) as info:
+        index.lookup("P67890")
+    assert str(info.value).startswith(
+        f"{index.dat_path}: entry P67890 at offset {offset}, length {length} does not parse")
+    assert str(info.value).endswith("rebuild the index")
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+
+def test_go_error_names_file_and_term_line(tmp_path):
+    go = tmp_path / "bad.obo"
+    text = (FIXTURES / "go_mini.obo").read_text(encoding="utf-8")
+    go.write_text(text + "\n[Term]\nid: GO:12\nname: short id\nnamespace: molecular_function\n",
+                  encoding="utf-8")
+    line = len(text.splitlines()) + 2
+    with pytest.raises(ParseError) as info:
+        build_index(DAT, go)
+    assert str(info.value) == f"{go}:{line}: malformed GO id 'GO:12'"
 
 
 # -- GO -----------------------------------------------------------------------

@@ -735,6 +735,26 @@ def test_cli_index_build_and_lookup(tmp_path, capsys):
     assert "[CATALYTIC ACTIVITY]" in dump
 
 
+def test_cli_index_build_names_flat_file_and_line(tmp_path, capsys):
+    dat = tmp_path / "bad.dat"
+    dat.write_text("ID   A_TEST                  Reviewed;          10 AA.\nAC   P11111;\n"
+                   "FT   \n//\n", encoding="utf-8")
+    rc = cli.main(["index", "build", "--dat", str(dat), "--out", str(tmp_path / "idx")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {dat.resolve()}:3: FT line without a feature key: 'FT   '\n")
+
+
+def test_cli_index_lookup_unknown_accession(tmp_path, capsys):
+    out = tmp_path / "idx"
+    assert cli.main(["index", "build", "--dat", str(FIXTURES / "swissprot_mini.dat"),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["index", "lookup", "--index", str(out), "--accession", "P99999"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: accession P99999 is not in the index {out}\n"
+
+
 def test_cli_retrieve(tmp_path, capsys):
     rc = cli.main(["retrieve", "--query", str(FIXTURES / "query.fasta"),
                    "--hits", str(FIXTURES / "hits_fixture.tsv"), "--k", "3"])
