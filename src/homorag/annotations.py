@@ -261,13 +261,17 @@ def parse_go_file(path: str | Path) -> dict[str, GoTerm]:
     """Parse OBO-style [Term] stanzas into an id -> GoTerm mapping.
 
     A stanza with an id, name and namespace is a term; a malformed one raises
-    ParseError at `path:line` of its `[Term]` header.
+    ParseError at `path:line` of its `[Term]` header, a line that is not
+    UTF-8 at its own.
     """
     stanzas: list[tuple[int, dict]] = []  # (line of the [Term] header, its fields)
     current: Optional[dict] = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError(str(exc), line_no, str(path)) from exc
             if line.startswith("["):
                 current = {} if line == "[Term]" else None
                 if current is not None:
@@ -370,19 +374,20 @@ class AnnotationIndex:
 
     @classmethod
     def load(cls, index_dir: str | Path) -> "AnnotationIndex":
-        """Read a saved index; a malformed row raises IndexBuildError naming path:line."""
+        """Read a saved index; a wrong header, a malformed row or a line that
+        is not UTF-8 raises IndexBuildError naming path:line."""
         index_dir = Path(index_dir)
         records: dict[str, tuple[int, int]] = {}
         dat_path = ""
         count = 0
         path = index_dir / "records.tsv"
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("utf-8", "replace").rstrip("\r\n")
             if header != f"#{INDEX_FORMAT}":
-                raise IndexBuildError(f"unsupported index format header {header!r}")
-            for line_no, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
+                raise IndexBuildError(f"{path}:1: unsupported index format header {header!r}")
+            for line_no, raw in enumerate(fh, start=2):
                 try:
+                    line = raw.decode("utf-8").rstrip("\r\n")
                     if line.startswith("#dat\t"):
                         dat_path = line.split("\t", 1)[1]
                     elif line.startswith("#count\t"):
@@ -390,18 +395,20 @@ class AnnotationIndex:
                     elif line:
                         acc, off, length = line.split("\t")
                         records[acc] = (int(off), int(length))
+                except UnicodeDecodeError as exc:
+                    raise IndexBuildError(f"{path}:{line_no}: {exc}") from exc
                 except ValueError as exc:
                     raise IndexBuildError(f"{path}:{line_no}: malformed row {line!r}") from exc
         go_terms: dict[str, GoTerm] = {}
         path = index_dir / "go_terms.tsv"
         if path.exists():
-            with open(path, "r", encoding="utf-8") as fh:
-                header = fh.readline().rstrip("\n")
+            with open(path, "rb") as fh:
+                header = fh.readline().decode("utf-8", "replace").rstrip("\r\n")
                 if header != f"#{GO_FORMAT}":
-                    raise IndexBuildError(f"unsupported GO format header {header!r}")
-                for line_no, line in enumerate(fh, start=2):
-                    line = line.rstrip("\n")
+                    raise IndexBuildError(f"{path}:1: unsupported GO format header {header!r}")
+                for line_no, raw in enumerate(fh, start=2):
                     try:
+                        line = raw.decode("utf-8").rstrip("\r\n")
                         if line:
                             gid, namespace, name = line.split("\t", 2)
                             go_terms[gid] = GoTerm(id=gid, name=name, namespace=namespace)
@@ -417,12 +424,13 @@ def build_index(
 ) -> AnnotationIndex:
     """Index every record of the flat file by primary and secondary accession.
 
-    Duplicate accessions are an error (the message lists both offsets). The
-    sidecar written to `out_dir` is deterministic: rebuilding over the same
-    file yields byte-identical output.
+    Duplicate accessions are an error (the message names both records'
+    `path:line` and offsets). The sidecar written to `out_dir` is
+    deterministic: rebuilding over the same file yields byte-identical output.
     """
     dat_path = str(Path(dat_path).resolve())
     records: dict[str, tuple[int, int]] = {}
+    start_lines: dict[str, int] = {}
     count = 0
     for blob, offset, length, start_line in iter_raw_records(dat_path):
         try:
@@ -437,10 +445,11 @@ def build_index(
         for acc in (entry.accession, *entry.secondary_accessions):
             if acc in records:
                 raise IndexBuildError(
-                    f"duplicate accession {acc!r}: records at offsets "
-                    f"{records[acc][0]} and {offset}"
+                    f"duplicate accession {acc!r}: records at {dat_path}:{start_lines[acc]} "
+                    f"and {dat_path}:{start_line} (offsets {records[acc][0]} and {offset})"
                 )
             records[acc] = (offset, length)
+            start_lines[acc] = start_line
     go_terms = parse_go_file(go_path) if go_path else {}
     index = AnnotationIndex(
         dat_path=dat_path, records=records, go_terms=go_terms, record_count=count

@@ -21,10 +21,12 @@ from .denoise import render_context, vertical_filter
 from .gateway import Gateway
 from .homology import (
     EvidencePool,
-    QueryProtein,
+    check_residues,
+    format_hits,
     load_hits,
     rank_and_select,
     read_fasta_first,
+    run_blast,
 )
 from .metrics import EntityLexicon, render_table
 from .pipeline import (
@@ -32,7 +34,6 @@ from .pipeline import (
     label_dataset,
     pretty_json,
     read_dataset,
-    run_blast,
     run_eval,
     safe_filename,
 )
@@ -154,23 +155,17 @@ def _cmd_index(args, config) -> int:
 
 def _cmd_retrieve(args, config) -> int:
     query_id, sequence = read_fasta_first(args.query)
-    query = QueryProtein.from_sequence(sequence)
-    by_query = load_hits(args.hits)
-    hits = by_query.get(query_id, [h for group in by_query.values() for h in group])
+    check_residues(sequence, f"{args.query}: query {query_id}")
+    hits = load_hits(args.hits).get(query_id, [])
+    if not hits:
+        print(f"warning: no hits for {query_id} in {args.hits}", file=sys.stderr)
     selected = rank_and_select(hits, _with_flags(config.retrieval, args),
-                               query_length=query.length)
-    lines = [
-        "\t".join(str(v) for v in (
-            h.query_id, h.subject_accession, h.percent_identity, h.alignment_length,
-            h.identity_count, h.e_value, h.bitscore,
-        ))
-        for h in selected
-    ]
-    output = "\n".join(lines)
+                               query_length=len(sequence))
+    rows = format_hits(selected)
     if args.out:
-        write_atomic(Path(args.out), (output + ("\n" if output else "")).encode("utf-8"))
+        write_atomic(Path(args.out), rows.encode("utf-8"))
     else:
-        print(output)
+        print(rows.rstrip("\n"))
     return 0
 
 

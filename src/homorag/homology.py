@@ -1,15 +1,19 @@
-"""Homolog hit handling: tabular alignment parsing, ranking, exclusion filters,
-and assembly of the raw evidence pool.
+"""Homolog hits: the query check, the alignment-tool run, the 7-column hit
+rows it writes, ranking, exclusion filters, and assembly of the raw evidence
+pool.
 
-The alignment tool itself runs externally and must be invoked with the
-7-column tabular format `qseqid sseqid pident length nident evalue bitscore`
-(nident is required by the self-hit exclusion rule, which the default
-12-column format cannot express).
+This module owns the contract with the external alignment tool: `run_blast`
+requests the tabular columns `qseqid sseqid pident length nident evalue
+bitscore` (nident is required by the self-hit exclusion rule, which the
+default 12-column format cannot express), `parse_blast_tabular` reads those
+rows and `format_hits` writes them.
 """
 
 from __future__ import annotations
 
 import enum
+import shutil
+import subprocess
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,33 +24,28 @@ from .config import RetrievalConfig
 
 if TYPE_CHECKING:
     from .annotations import AnnotationIndex
+    from .config import PipelineConfig
 
 AMINO_ALPHABET = frozenset("ACDEFGHIKLMNPQRSTVWY" "BZXUO")
 
 HITS_COLUMNS = ("qseqid", "sseqid", "pident", "length", "nident", "evalue", "bitscore")
+BLAST_OUTFMT = "6 " + " ".join(HITS_COLUMNS)
 
 
 class BlastParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QueryProtein:
-    sequence: str
-    length: int
+class BlastInvocationError(RuntimeError):
+    pass
 
-    def __post_init__(self):
-        seq = self.sequence.upper()
-        object.__setattr__(self, "sequence", seq)
-        bad = set(seq) - AMINO_ALPHABET
-        if bad:
-            raise ValueError(f"sequence contains invalid residues: {sorted(bad)}")
-        if self.length != len(seq):
-            raise ValueError(f"declared length {self.length} != sequence length {len(seq)}")
 
-    @classmethod
-    def from_sequence(cls, sequence: str) -> "QueryProtein":
-        return cls(sequence=sequence, length=len(sequence))
+def check_residues(sequence: str, owner: str) -> None:
+    """Raise ValueError, prefixed by `owner`, when `sequence` holds residues
+    (in either case) outside the amino-acid alphabet."""
+    bad = set(sequence.upper()) - AMINO_ALPHABET
+    if bad:
+        raise ValueError(f"{owner}: invalid residues {sorted(bad)}")
 
 
 @dataclass(frozen=True)
@@ -99,21 +98,24 @@ class HomologHit:
 
 
 def parse_blast_tabular(
-    stream: Iterable[str], path: Optional[str | Path] = None,
+    stream: Iterable[str | bytes], path: Optional[str | Path] = None,
 ) -> list[HomologHit]:
     """Parse 7-column tab-separated hit rows, preserving input order.
 
-    Comment lines (leading '#') and blank lines are skipped; anything else
-    malformed raises with its 1-based row number (`row N`, or `<path>:N`
+    Rows are text, or UTF-8 bytes decoded here. Comment lines (leading '#')
+    and blank lines are skipped; anything else malformed, a row that is not
+    UTF-8 too, raises with its 1-based row number (`row N`, or `<path>:N`
     when the stream's path is given).
     """
     hits: list[HomologHit] = []
     for row_no, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
         try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            cols = line.split("\t")
             if len(cols) != 7:
                 raise ValueError(f"expected 7 columns, got {len(cols)}")
             hit = HomologHit(
@@ -132,9 +134,19 @@ def parse_blast_tabular(
     return hits
 
 
+def format_hits(hits: Iterable[HomologHit]) -> str:
+    """The 7-column rows of `hits`, one line each, that `parse_blast_tabular`
+    reads back into equal hits."""
+    return "".join(
+        f"{h.query_id}\t{h.subject_accession}\t{h.percent_identity}\t{h.alignment_length}\t"
+        f"{h.identity_count}\t{h.e_value}\t{h.bitscore}\n"
+        for h in hits
+    )
+
+
 def load_hits(path: str | Path) -> dict[str, list[HomologHit]]:
     """Parse a hits file into each query id's hits, in input order."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         hits = parse_blast_tabular(fh, path)
     by_query: dict[str, list[HomologHit]] = {}
     for hit in hits:
@@ -306,12 +318,16 @@ def assemble_raw_pool(
 
 
 def read_fasta_first(path: str) -> tuple[str, str]:
-    """Return (id, sequence) of the first FASTA record in the file."""
+    """Return (id, sequence) of the first FASTA record in the file; a line
+    that is not UTF-8 raises ValueError naming `path:line`."""
     header = None
     chunks: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
             if line.startswith(">"):
                 if header is not None:
                     break
@@ -321,3 +337,34 @@ def read_fasta_first(path: str) -> tuple[str, str]:
     if header is None:
         raise ValueError(f"no FASTA record found in {path}")
     return header, "".join(chunks)
+
+
+def run_blast(config: "PipelineConfig", fasta_path: str | Path, out_path: str | Path) -> dict:
+    """Invoke the external alignment binary with the HITS_COLUMNS tabular format.
+
+    Returns run metadata including the exact command line. A missing binary
+    is an instructive error pointing at the --hits bypass.
+    """
+    binary = config.blast.binary
+    if not binary or not (Path(binary).exists() or shutil.which(binary)):
+        raise BlastInvocationError(
+            f"alignment binary {binary!r} not found; either install it and set "
+            f"blast.binary, or bypass live search with --hits <precomputed tsv>"
+        )
+    if not config.blast.db:
+        raise BlastInvocationError("blast.db is not configured")
+    command = [
+        binary,
+        "-query", str(fasta_path),
+        "-db", config.blast.db,
+        "-outfmt", BLAST_OUTFMT,
+        "-evalue", str(config.blast.evalue),
+        "-max_target_seqs", str(config.blast.max_target_seqs),
+        "-out", str(out_path),
+    ]
+    proc = subprocess.run(command, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise BlastInvocationError(
+            f"alignment run failed with exit code {proc.returncode}: {proc.stderr.strip()}"
+        )
+    return {"command": command, "returncode": proc.returncode, "out": str(out_path)}

@@ -153,10 +153,15 @@ class EntityLexicon:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EntityLexicon":
+        """One surface form per non-blank line; a line that is not UTF-8
+        raises ValueError naming path:line."""
         forms = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from exc
                 if line:
                     forms.append(line)
         return cls(forms)

@@ -1,5 +1,5 @@
-"""End-to-end orchestration: retrieval, filtering, generation, batch runs,
-evaluation, and the external alignment-tool invocation.
+"""End-to-end orchestration: retrieval, filtering, generation, batch runs
+and evaluation. The alignment tool and its hit rows belong to `homology`.
 
 Each processed record leaves a replayable trace (its hits, the pool snapshot
 after every stage that ran, the rendered context, prompt, and answer) as a
@@ -15,8 +15,6 @@ import functools
 import json
 import logging
 import re
-import shutil
-import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -32,12 +30,11 @@ from .config import MODE_STAGES, PipelineConfig, default_provenance
 from .denoise import render_context, vertical_filter
 from .gateway import Gateway
 from .homology import (
-    AMINO_ALPHABET,
     EvidencePool,
-    HITS_COLUMNS,
     HomologHit,
     Stage,
     assemble_raw_pool,
+    check_residues,
     load_hits,
     rank_and_select,
 )
@@ -58,14 +55,8 @@ logger = logging.getLogger(__name__)
 NO_EVIDENCE_NOTE = "(no evidence retrieved)"
 _SAFE_ID_RE = re.compile(r"[^A-Za-z0-9._\-]")
 
-BLAST_OUTFMT = "6 " + " ".join(HITS_COLUMNS)
-
 
 class DatasetError(ValueError):
-    pass
-
-
-class BlastInvocationError(RuntimeError):
     pass
 
 
@@ -81,9 +72,7 @@ class QARecord:
     def __post_init__(self):
         if not self.instruction.strip():
             raise ValueError(f"record {self.id!r}: instruction is empty")
-        bad = set(self.sequence.upper()) - AMINO_ALPHABET
-        if bad:
-            raise ValueError(f"record {self.id!r}: invalid residues {sorted(bad)}")
+        check_residues(self.sequence, f"record {self.id!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "QARecord":
@@ -103,19 +92,20 @@ class QARecord:
 
 
 def read_dataset(path: str | Path, bad_lines: Optional[list] = None) -> list[QARecord]:
-    """Read a JSONL dataset, skipping blank lines. A malformed line raises
-    `DatasetError`; if `bad_lines` is given, its (id or `line-<n>`, error) is
-    appended there instead and reading goes on."""
+    """Read a JSONL dataset, skipping blank lines. A malformed line, one that
+    is not UTF-8 too, raises `DatasetError`; if `bad_lines` is given, its (id
+    or `line-<n>`, error) is appended there instead and reading goes on."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             data = None
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 data = json.loads(line)
                 records.append(QARecord.from_dict(data))
-            except (json.JSONDecodeError, ValueError) as exc:
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
                 if bad_lines is None:
                     raise DatasetError(f"{path}:{line_no}: {exc}") from exc
                 ident = f"line-{line_no}"
@@ -444,37 +434,6 @@ def run_eval(
             render_table(table) + f"\n\nexcluded (no reference): {missing_reference}\n"
         ).encode("utf-8"))
     return table
-
-
-def run_blast(config: PipelineConfig, fasta_path: str | Path, out_path: str | Path) -> dict:
-    """Invoke the external alignment binary with the required tabular columns.
-
-    Returns run metadata including the exact command line. A missing binary
-    is an instructive error pointing at the --hits bypass.
-    """
-    binary = config.blast.binary
-    if not binary or not (Path(binary).exists() or shutil.which(binary)):
-        raise BlastInvocationError(
-            f"alignment binary {binary!r} not found; either install it and set "
-            f"blast.binary, or bypass live search with --hits <precomputed tsv>"
-        )
-    if not config.blast.db:
-        raise BlastInvocationError("blast.db is not configured")
-    command = [
-        binary,
-        "-query", str(fasta_path),
-        "-db", config.blast.db,
-        "-outfmt", BLAST_OUTFMT,
-        "-evalue", str(config.blast.evalue),
-        "-max_target_seqs", str(config.blast.max_target_seqs),
-        "-out", str(out_path),
-    ]
-    proc = subprocess.run(command, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise BlastInvocationError(
-            f"alignment run failed with exit code {proc.returncode}: {proc.stderr.strip()}"
-        )
-    return {"command": command, "returncode": proc.returncode, "out": str(out_path)}
 
 
 def label_dataset(

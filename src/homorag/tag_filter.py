@@ -235,15 +235,17 @@ def write_examples(path: str | Path, examples: Iterable[DistillationExample]):
 
 
 def read_examples(path: str | Path) -> list[DistillationExample]:
-    """Read a JSONL example file; a malformed line raises ValueError naming path:line."""
+    """Read a JSONL example file; a malformed line, one that is not UTF-8
+    too, raises ValueError naming path:line."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
                     out.append(DistillationExample.from_dict(json.loads(line)))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ValueError(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from exc
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from exc
     return out
 
 

@@ -618,6 +618,27 @@ def test_duplicate_accession_lists_offsets(tmp_path):
         build_index(dat)
 
 
+def test_duplicate_accession_names_both_records_file_and_line(tmp_path):
+    dat = tmp_path / "dup.dat"
+    dat.write_text(_two_records().replace("P22222", "P11111"), encoding="utf-8")
+    with pytest.raises(IndexBuildError) as info:
+        build_index(dat)
+    assert str(info.value) == (f"duplicate accession 'P11111': records at {dat.resolve()}:1 "
+                               f"and {dat.resolve()}:4 (offsets 0 and 71)")
+
+
+@pytest.mark.parametrize("name, kind", [("records.tsv", "index"), ("go_terms.tsv", "GO")])
+def test_load_names_the_file_of_a_wrong_header(tmp_path, annotation_index, name, kind):
+    out = tmp_path / "index"
+    annotation_index.save(out)
+    path = out / name
+    path.write_text("#bogus\n" + path.read_text(encoding="utf-8").split("\n", 1)[1],
+                    encoding="utf-8")
+    with pytest.raises(IndexBuildError) as info:
+        AnnotationIndex.load(out)
+    assert str(info.value) == f"{path}:1: unsupported {kind} format header '#bogus'"
+
+
 def test_truncated_final_record(tmp_path):
     dat = tmp_path / "trunc.dat"
     dat.write_text(

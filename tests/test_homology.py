@@ -15,11 +15,12 @@ from homorag.homology import (
     EvidencePool,
     HomologHit,
     PoolHomolog,
-    QueryProtein,
     Stage,
     apply_identity_ceiling,
     assemble_raw_pool,
+    check_residues,
     exclude_self_hits,
+    format_hits,
     load_hits,
     parse_blast_tabular,
     rank_and_select,
@@ -52,18 +53,12 @@ hit_strategy = st.builds(
 )
 
 
-# -- QueryProtein --------------------------------------------------------------
+# -- residue check --------------------------------------------------------------
 
-def test_query_protein_alphabet():
-    qp = QueryProtein.from_sequence("acdefghiklmnpqrstvwybzxuo")
-    assert qp.length == 25
-    with pytest.raises(ValueError, match="invalid residues"):
-        QueryProtein.from_sequence("ACDJ")
-
-
-def test_query_protein_length_consistency():
-    with pytest.raises(ValueError, match="declared length"):
-        QueryProtein(sequence="ACD", length=4)
+def test_check_residues_alphabet():
+    check_residues("acdefghiklmnpqrstvwybzxuo", "q1")
+    with pytest.raises(ValueError, match=r"^q1: invalid residues \['J'\]$"):
+        check_residues("ACDJ", "q1")
 
 
 # -- parsing --------------------------------------------------------------------
@@ -113,6 +108,33 @@ def test_parse_preserves_order_and_skips_comments():
         "q1\tA11111\t60.00\t100\t60\t1e-9\t150\n"
     ))
     assert [h.subject_accession for h in hits] == ["B11111", "A11111"]
+
+
+@st.composite
+def valid_hits(draw):
+    ids = st.text(alphabet="ABCPQXYZ0123456789-_.|:", min_size=1, max_size=12)
+    alen = draw(st.integers(min_value=1, max_value=100_000))
+    nident = draw(st.integers(min_value=0, max_value=alen))  # 0 and alen give 0.0 and 100.0
+    implied = 100.0 * nident / alen
+    return HomologHit(
+        query_id=draw(ids),
+        subject_accession=draw(ids),
+        percent_identity=draw(st.sampled_from([implied, round(implied, 2)])),
+        alignment_length=alen,
+        identity_count=nident,
+        e_value=draw(st.one_of(st.sampled_from([0.0, 1e-300, 5e-324, 1.0, 10.0]),
+                               st.floats(min_value=0.0, max_value=1e6))),
+        bitscore=draw(st.one_of(st.integers(min_value=0, max_value=10**9).map(float),
+                                st.floats(min_value=0.0, max_value=1e300))),
+    )
+
+
+@settings(max_examples=300)
+@given(st.lists(valid_hits(), max_size=20))
+def test_format_hits_round_trips_through_the_parser(hits):
+    text = format_hits(hits)
+    assert text.count("\n") == len(hits)
+    assert parse_blast_tabular(text.splitlines()) == hits
 
 
 def test_load_hits_groups_by_query_in_input_order(tmp_path):

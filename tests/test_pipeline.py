@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import stat
 import threading
 import time
@@ -14,7 +15,7 @@ import yaml
 
 from conftest import FIXTURES, make_pipeline_config
 from homorag import cli
-from homorag.annotations import AnnotationIndex
+from homorag.annotations import AnnotationIndex, parse_go_file
 from homorag import config as config_module
 from homorag.config import (
     ENCODER_RECIPE,
@@ -33,10 +34,18 @@ from homorag.config import (
 )
 from homorag.denoise import render_context, vertical_filter
 from homorag.gateway import ECHO_EMPTY, Gateway
-from homorag.homology import EvidencePool, Stage, assemble_raw_pool, load_hits, rank_and_select
+from homorag.homology import (
+    BlastInvocationError,
+    EvidencePool,
+    Stage,
+    assemble_raw_pool,
+    load_hits,
+    rank_and_select,
+    read_fasta_first,
+    run_blast,
+)
 from homorag.metrics import EntityLexicon
 from homorag.pipeline import (
-    BlastInvocationError,
     DatasetError,
     NO_EVIDENCE_NOTE,
     Pipeline,
@@ -45,13 +54,14 @@ from homorag.pipeline import (
     label_dataset,
     read_dataset,
     replay_context,
-    run_blast,
     run_eval,
 )
 from homorag.tag_filter import (
+    DistillationExample,
     FilterModel,
     build_distillation_set,
     make_query_context,
+    read_examples,
     segment_ig,
     snippet_document,
     split_fragments,
@@ -477,6 +487,56 @@ def test_batch_skips_malformed_records(index_dir_module, filter_model_module, tm
     assert summary["skipped_malformed"] == ["bad-1", "line-2"]
 
 
+def _not_utf8_at(path: Path, line: int) -> Path:
+    """`path` with a 0xe9 byte, never valid UTF-8 before an ASCII byte, at the end of `line`."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xe9"
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("name, line, read", [
+    ("qa_records.jsonl", 2, read_dataset),
+    ("hits_fixture.tsv", 3, load_hits),
+    ("query.fasta", 2, read_fasta_first),
+    ("train.jsonl", 2, read_examples),
+    ("records.tsv", 4, lambda path: AnnotationIndex.load(path.parent)),
+    ("go_terms.tsv", 2, lambda path: AnnotationIndex.load(path.parent)),
+    ("go_mini.obo", 5, parse_go_file),
+    ("lexicon.txt", 2, EntityLexicon.from_file),
+], ids=["dataset", "hits", "fasta", "examples", "records-tsv", "go-terms-tsv", "go-obo",
+        "lexicon"])
+def test_reader_names_the_line_that_is_not_utf8(tmp_path, index_dir_module, name, line, read):
+    shutil.copytree(index_dir_module, tmp_path, dirs_exist_ok=True)
+    write_examples(tmp_path / "train.jsonl",
+                   [DistillationExample("Describe it.", "FUNCTION", i % 2, 0.1 * i) for i in range(3)])
+    path = tmp_path / name
+    if not path.exists():
+        shutil.copy(FIXTURES / name, path)
+    _not_utf8_at(path, line)
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path}:{line}: ")
+    assert "can't decode byte 0xe9" in str(info.value)
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+
+def test_batch_skips_a_line_that_is_not_utf8(index_dir_module, filter_model_module, tmp_path,
+                                             capsys):
+    dataset = tmp_path / "data.jsonl"
+    good = (FIXTURES / "qa_records.jsonl").read_text(encoding="utf-8").splitlines()[:3]
+    dataset.write_text("\n".join(good) + "\n", encoding="utf-8")
+    _not_utf8_at(dataset, 2)
+    config = write_cli_config(tmp_path / "c.yaml", index_dir_module, filter_model_module,
+                              tmp_path / "cache")
+    rc = cli.main(["--config", str(config), "qa", "batch", "--dataset", str(dataset),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["processed"] == 2
+    assert summary["skipped_malformed"] == ["line-2"]
+
+
 def test_batch_summary_counts_match_directory_census(index_dir_module, filter_model_module, tmp_path):
     config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
     out = tmp_path / "census"
@@ -762,6 +822,38 @@ def test_cli_retrieve(tmp_path, capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
     assert len(lines) == 3
     assert lines[0].split("\t")[1] == "Q55C17"
+
+
+RETRIEVE_GOLDEN = (
+    "case-r1\tQ55C17\t98.44\t64\t63\t1e-150\t880.0\n"
+    "case-r1\tQ3ZCD7\t84.38\t64\t54\t1e-100\t610.0\n"
+    "case-r1\tQ9N5Y2\t79.69\t64\t51\t1e-80\t520.0\n"
+)
+
+
+def test_cli_retrieve_golden_bytes(tmp_path, capsysbinary):
+    args = ["retrieve", "--query", str(FIXTURES / "query.fasta"),
+            "--hits", str(FIXTURES / "hits_fixture.tsv")]
+    assert cli.main(args) == 0
+    assert capsysbinary.readouterr().out == RETRIEVE_GOLDEN.encode()
+    out = tmp_path / "ranked.tsv"
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == RETRIEVE_GOLDEN.encode()
+
+
+def test_cli_retrieve_without_hits_for_the_query_warns(tmp_path, capsys):
+    query = tmp_path / "nosuch.fasta"
+    query.write_text(">nosuch\nMKV\n", encoding="utf-8")
+    hits = FIXTURES / "hits_fixture.tsv"
+    out = tmp_path / "ranked.tsv"
+    for extra in ([], ["--out", str(out)]):
+        rc = cli.main(["retrieve", "--query", str(query), "--hits", str(hits), *extra])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == ""
+        assert captured.err == f"warning: no hits for nosuch in {hits}\n"
+    assert out.read_bytes() == b""
 
 
 def write_bad_hits(tmp_path):
