@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .atomic import write_atomic
+from .atomic import read_lines, write_atomic
 
 INDEX_FORMAT = "homorag-index/1"
 GO_FORMAT = "homorag-go/1"
@@ -261,26 +261,22 @@ def parse_go_file(path: str | Path) -> dict[str, GoTerm]:
     """Parse OBO-style [Term] stanzas into an id -> GoTerm mapping.
 
     A stanza with an id, name and namespace is a term; a malformed one raises
-    ParseError at `path:line` of its `[Term]` header, a line that is not
-    UTF-8 at its own.
+    ParseError at `path:line` of its `[Term]` header, and a line that is not
+    UTF-8 a ValueError at its own.
     """
     stanzas: list[tuple[int, dict]] = []  # (line of the [Term] header, its fields)
     current: Optional[dict] = None
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ParseError(str(exc), line_no, str(path)) from exc
-            if line.startswith("["):
-                current = {} if line == "[Term]" else None
-                if current is not None:
-                    stanzas.append((line_no, current))
-            elif current is not None and ":" in line:
-                key, _, val = line.partition(":")
-                key = key.strip()
-                if key in ("id", "name", "namespace"):
-                    current[key] = val.strip()
+    for line_no, line in read_lines(path):
+        line = line.strip()
+        if line.startswith("["):
+            current = {} if line == "[Term]" else None
+            if current is not None:
+                stanzas.append((line_no, current))
+        elif current is not None and ":" in line:
+            key, _, val = line.partition(":")
+            key = key.strip()
+            if key in ("id", "name", "namespace"):
+                current[key] = val.strip()
     terms: dict[str, GoTerm] = {}
     for line_no, stanza in stanzas:
         if {"id", "name", "namespace"} <= stanza.keys():
@@ -290,6 +286,17 @@ def parse_go_file(path: str | Path) -> dict[str, GoTerm]:
                 raise ParseError(str(exc), line_no, str(path)) from exc
             terms[term.id] = term
     return terms
+
+
+def _index_rows(path: Path, fmt: str, kind: str) -> Iterator[tuple[int, str]]:
+    """(line number, line without its end) for each line of an index file
+    after its `#<fmt>` header; any other first line raises IndexBuildError."""
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1].rstrip("\r\n")
+    if header != f"#{fmt}":
+        raise IndexBuildError(f"{path}:1: unsupported {kind} format header {header!r}")
+    for line_no, line in lines:
+        yield line_no, line.rstrip("\r\n")
 
 
 @dataclass
@@ -375,45 +382,33 @@ class AnnotationIndex:
     @classmethod
     def load(cls, index_dir: str | Path) -> "AnnotationIndex":
         """Read a saved index; a wrong header, a malformed row or a line that
-        is not UTF-8 raises IndexBuildError naming path:line."""
+        is not UTF-8 raises a ValueError naming path:line."""
         index_dir = Path(index_dir)
         records: dict[str, tuple[int, int]] = {}
         dat_path = ""
         count = 0
         path = index_dir / "records.tsv"
-        with open(path, "rb") as fh:
-            header = fh.readline().decode("utf-8", "replace").rstrip("\r\n")
-            if header != f"#{INDEX_FORMAT}":
-                raise IndexBuildError(f"{path}:1: unsupported index format header {header!r}")
-            for line_no, raw in enumerate(fh, start=2):
-                try:
-                    line = raw.decode("utf-8").rstrip("\r\n")
-                    if line.startswith("#dat\t"):
-                        dat_path = line.split("\t", 1)[1]
-                    elif line.startswith("#count\t"):
-                        count = int(line.split("\t", 1)[1])
-                    elif line:
-                        acc, off, length = line.split("\t")
-                        records[acc] = (int(off), int(length))
-                except UnicodeDecodeError as exc:
-                    raise IndexBuildError(f"{path}:{line_no}: {exc}") from exc
-                except ValueError as exc:
-                    raise IndexBuildError(f"{path}:{line_no}: malformed row {line!r}") from exc
+        for line_no, line in _index_rows(path, INDEX_FORMAT, "index"):
+            try:
+                if line.startswith("#dat\t"):
+                    dat_path = line.split("\t", 1)[1]
+                elif line.startswith("#count\t"):
+                    count = int(line.split("\t", 1)[1])
+                elif line:
+                    acc, off, length = line.split("\t")
+                    records[acc] = (int(off), int(length))
+            except ValueError as exc:
+                raise IndexBuildError(f"{path}:{line_no}: malformed row {line!r}") from exc
         go_terms: dict[str, GoTerm] = {}
         path = index_dir / "go_terms.tsv"
         if path.exists():
-            with open(path, "rb") as fh:
-                header = fh.readline().decode("utf-8", "replace").rstrip("\r\n")
-                if header != f"#{GO_FORMAT}":
-                    raise IndexBuildError(f"{path}:1: unsupported GO format header {header!r}")
-                for line_no, raw in enumerate(fh, start=2):
-                    try:
-                        line = raw.decode("utf-8").rstrip("\r\n")
-                        if line:
-                            gid, namespace, name = line.split("\t", 2)
-                            go_terms[gid] = GoTerm(id=gid, name=name, namespace=namespace)
-                    except ValueError as exc:
-                        raise IndexBuildError(f"{path}:{line_no}: {exc}") from exc
+            for line_no, line in _index_rows(path, GO_FORMAT, "GO"):
+                try:
+                    if line:
+                        gid, namespace, name = line.split("\t", 2)
+                        go_terms[gid] = GoTerm(id=gid, name=name, namespace=namespace)
+                except ValueError as exc:
+                    raise IndexBuildError(f"{path}:{line_no}: {exc}") from exc
         return cls(dat_path=dat_path, records=records, go_terms=go_terms, record_count=count)
 
 

@@ -1,11 +1,14 @@
-"""Atomic file replacement for run outputs and cache entries."""
+"""Every file the package writes or reads as text goes through this module:
+writes replace the file atomically, reads decode UTF-8 and name the fault."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import threading
 from pathlib import Path
+from typing import Iterator
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -22,3 +25,31 @@ def write_atomic(path: Path, data: bytes) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, line with its `\\n`) of a UTF-8 file; a line
+    that is not UTF-8 raises ValueError naming `path:line`, cause chained."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+            yield line_no, line
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object that path holds as UTF-8. Bytes that are not UTF-8, bad
+    or truncated JSON, nesting too deep or a value that is not an object raise
+    ValueError `<path>: not a UTF-8 JSON object`, cause chained; OSError passes."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        data = json.loads(blob.decode("utf-8"))
+        if not isinstance(data, dict):
+            raise TypeError(f"holds a JSON {type(data).__name__}, not an object")
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep nesting is a RecursionError
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise ValueError(f"{path}: not a UTF-8 JSON object") from exc
+    return data

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .annotations import AccessionNotFound, AnnotationIndex, build_index, format_entry
-from .atomic import write_atomic
+from .atomic import read_json_object, write_atomic
 from .config import load_config
 from .denoise import render_context, vertical_filter
 from .gateway import Gateway
@@ -209,7 +209,7 @@ def _cmd_filter(args, config) -> int:
 
 
 def _cmd_denoise(args, config) -> int:
-    pool = EvidencePool.from_dict(json.loads(Path(args.pool).read_text(encoding="utf-8")))
+    pool = EvidencePool.from_dict(read_json_object(args.pool))
     gateway = Gateway(cache_dir=config.paths.cache_dir)
     vertical, warnings = vertical_filter(
         pool, gateway.embedder_handle(config.embedder), _with_flags(config.denoise, args)

@@ -281,7 +281,7 @@ def load_config(
     if path is None:
         cfg = PipelineConfig()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:  # PyYAML decodes, naming the file in its errors
             data = yaml.safe_load(fh) or {}
         cfg = config_from_dict(data)
     for role, var in ENV_ENDPOINT_VARS.items():

@@ -18,7 +18,7 @@ pipeline path runs offline:
                          lines verbatim
 
 Responses are cached on disk keyed by a digest of the canonicalized request;
-a cache file that does not decode counts as a miss and is rewritten. A
+a cache file that is not a UTF-8 JSON object is a miss and is rewritten. A
 failed request is retried up to max_retries times with jittered exponential
 backoff, unless its HTTP status says a retry cannot help (a 4xx other than
 408 and 429). At most max_in_flight requests run concurrently per backend.
@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .atomic import write_atomic
+from .atomic import read_json_object, write_atomic
 from .config import BackendConfig, ENV_API_KEY_VAR, GenerationParams
 from .tag_filter import TokenProbSequence
 
@@ -153,13 +153,11 @@ class Gateway:
     # -- caching -----------------------------------------------------------
 
     def _cache_read(self, path: Path) -> Optional[dict]:
-        """The cached response, or None on a miss; an undecodable file is a miss."""
+        """The cached response, or None when the file is missing or not a UTF-8 JSON object."""
         try:
-            with open(path, "rb") as fh:
-                response = json.loads(fh.read().decode("utf-8"))
-        except (FileNotFoundError, ValueError):  # ValueError: bad UTF-8 or JSON, or truncated
+            return read_json_object(path)
+        except (FileNotFoundError, ValueError):
             return None
-        return response if isinstance(response, dict) else None
 
     def _cache_write(self, path: Path, response: dict):
         path.parent.mkdir(parents=True, exist_ok=True)

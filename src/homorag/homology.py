@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from .annotations import AccessionNotFound, AnnotationSnippet
+from .atomic import read_lines
 from .config import RetrievalConfig
 
 if TYPE_CHECKING:
@@ -98,20 +99,17 @@ class HomologHit:
 
 
 def parse_blast_tabular(
-    stream: Iterable[str | bytes], path: Optional[str | Path] = None,
+    stream: Iterable[str], path: Optional[str | Path] = None,
 ) -> list[HomologHit]:
     """Parse 7-column tab-separated hit rows, preserving input order.
 
-    Rows are text, or UTF-8 bytes decoded here. Comment lines (leading '#')
-    and blank lines are skipped; anything else malformed, a row that is not
-    UTF-8 too, raises with its 1-based row number (`row N`, or `<path>:N`
+    Comment lines (leading '#') and blank lines are skipped; anything else
+    malformed raises with its 1-based row number (`row N`, or `<path>:N`
     when the stream's path is given).
     """
     hits: list[HomologHit] = []
     for row_no, line in enumerate(stream, start=1):
         try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
@@ -146,10 +144,8 @@ def format_hits(hits: Iterable[HomologHit]) -> str:
 
 def load_hits(path: str | Path) -> dict[str, list[HomologHit]]:
     """Parse a hits file into each query id's hits, in input order."""
-    with open(path, "rb") as fh:
-        hits = parse_blast_tabular(fh, path)
     by_query: dict[str, list[HomologHit]] = {}
-    for hit in hits:
+    for hit in parse_blast_tabular((line for _, line in read_lines(path)), path):
         by_query.setdefault(hit.query_id, []).append(hit)
     return by_query
 
@@ -322,18 +318,14 @@ def read_fasta_first(path: str) -> tuple[str, str]:
     that is not UTF-8 raises ValueError naming `path:line`."""
     header = None
     chunks: list[str] = []
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
-            if line.startswith(">"):
-                if header is not None:
-                    break
-                header = line[1:].split()[0] if line[1:].split() else ""
-            elif header is not None and line:
-                chunks.append(line)
+    for _, line in read_lines(path):
+        line = line.strip()
+        if line.startswith(">"):
+            if header is not None:
+                break
+            header = line[1:].split()[0] if line[1:].split() else ""
+        elif header is not None and line:
+            chunks.append(line)
     if header is None:
         raise ValueError(f"no FASTA record found in {path}")
     return header, "".join(chunks)
@@ -362,7 +354,7 @@ def run_blast(config: "PipelineConfig", fasta_path: str | Path, out_path: str | 
         "-max_target_seqs", str(config.blast.max_target_seqs),
         "-out", str(out_path),
     ]
-    proc = subprocess.run(command, capture_output=True, text=True)
+    proc = subprocess.run(command, capture_output=True, encoding="utf-8", errors="replace")
     if proc.returncode != 0:
         raise BlastInvocationError(
             f"alignment run failed with exit code {proc.returncode}: {proc.stderr.strip()}"

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .atomic import read_lines
+
 TOKENIZER_VERSION = "lower-wordpunct/1"
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 BLEU_EPSILON = 1e-9
@@ -155,16 +157,7 @@ class EntityLexicon:
     def from_file(cls, path: str | Path) -> "EntityLexicon":
         """One surface form per non-blank line; a line that is not UTF-8
         raises ValueError naming path:line."""
-        forms = []
-        with open(path, "rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8").strip()
-                except UnicodeDecodeError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from exc
-                if line:
-                    forms.append(line)
-        return cls(forms)
+        return cls([form for _, line in read_lines(path) if (form := line.strip())])
 
     @classmethod
     def from_go_terms(cls, go_terms: dict) -> "EntityLexicon":

@@ -6,7 +6,9 @@ after every stage that ran, the rendered context, prompt, and answer) as a
 canonical JSON artifact. Timings go to a sidecar file so artifacts stay
 byte-identical across reruns of the same configuration. Batch runs are
 resumable: a record is skipped when its artifact already exists with the
-current config digest and no stage error.
+current config digest and no stage error. Artifacts are written and read
+through `atomic`: the resume check runs again a record whose artifact is not
+a UTF-8 JSON object, and `run_eval` refuses it, naming the file.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .annotations import AnnotationIndex
-from .atomic import write_atomic
+from .atomic import read_json_object, write_atomic
 from .config import MODE_STAGES, PipelineConfig, default_provenance
 from .denoise import render_context, vertical_filter
 from .gateway import Gateway
@@ -247,21 +249,13 @@ def safe_filename(record_id: str) -> str:
     return _SAFE_ID_RE.sub("_", record_id)
 
 
-def _read_artifact(path: Path) -> Optional[dict]:
-    """The JSON object that path holds as UTF-8, or None when it cannot be
-    read, does not decode or holds anything but an object."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep nesting is a RecursionError
-    except (OSError, ValueError, RecursionError):
-        return None
-    return data if isinstance(data, dict) else None
-
-
 def _is_done(path: Path, digest: str) -> bool:
     """Whether path holds a readable artifact made under the config digest
     with no stage error, so a record that failed is run again."""
-    existing = _read_artifact(path) or {}
+    try:
+        existing = read_json_object(path)
+    except (OSError, ValueError):
+        return False
     return existing.get("config_digest") == digest and not existing.get("errors")
 
 
@@ -405,9 +399,7 @@ def run_eval(
     rows = []
     missing_reference = 0
     for path in candidates:
-        data = _read_artifact(path)
-        if data is None:
-            raise ValueError(f"{path}: not a UTF-8 JSON object")
+        data = read_json_object(path)
         if "record_id" not in data:
             continue
         reference = data.get("reference")

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Protocol, Sequence
 import numpy as np
 
 from .annotations import normalize_tag
-from .atomic import write_atomic
+from .atomic import read_json_object, read_lines, write_atomic
 from .config import ENCODER_RECIPE, IgConfig, PipelineConfig, TrainConfig
 from .homology import EvidencePool, Stage
 
@@ -238,14 +238,12 @@ def read_examples(path: str | Path) -> list[DistillationExample]:
     """Read a JSONL example file; a malformed line, one that is not UTF-8
     too, raises ValueError naming path:line."""
     out = []
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if line.strip():
-                    out.append(DistillationExample.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from exc
+    for line_no, line in read_lines(path):
+        try:
+            if line.strip():
+                out.append(DistillationExample.from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from exc
     return out
 
 
@@ -377,8 +375,7 @@ class FilterModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "FilterModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = read_json_object(path)
         if payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {payload.get('format')!r}")
         if payload["feature_dim"] != FEATURE_DIM:

@@ -1,7 +1,14 @@
-"""Every file the package writes goes through `homorag.atomic.write_atomic`."""
+"""Every file the package writes goes through `homorag.atomic.write_atomic`, and
+every file it reads as text goes through `read_lines` or `read_json_object`
+there, which decode UTF-8 and name the fault."""
 
 import ast
+import json
 from pathlib import Path
+
+import pytest
+
+from homorag.atomic import read_json_object, read_lines
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "homorag"
 # modules whose `open(file, mode)` takes the file first; any other `x.open(mode)` is Path.open
@@ -50,3 +57,76 @@ def test_only_atomic_module_opens_files_for_writing():
         if (found := file_writes(path.read_text(encoding="utf-8")))
     }
     assert writers == {}
+
+
+def text_reads(source: str) -> list[int]:
+    """Line numbers of `open` calls whose mode is not binary (or is not a
+    literal), and of `read_text` / `json.load` calls."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "read_text" or (name == "load" and isinstance(func, ast.Attribute)
+                                   and isinstance(func.value, ast.Name)
+                                   and func.value.id == "json"):
+            lines.append(node.lineno)
+        elif name == "open":
+            file_first = isinstance(func, ast.Name) or (
+                isinstance(func.value, ast.Name) and func.value.id in _FILE_FIRST)
+            pos = 1 if file_first else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[pos] if len(node.args) > pos else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
+                    or "b" not in mode.value:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_each_way_of_reading_text():
+    source = "\n".join([
+        "open(p)", 'open(p, "r")', 'open(p, mode="rt")', "p.open()", 'io.open(p, "r")',
+        "p.read_text()", "json.load(fh)", "open(p, m)",
+        'open(p, "rb")', 'open(p, mode="rb")', 'p.open("rb")', 'io.open(p, "rb")',
+        "p.read_bytes()", "json.loads(s)", "yaml.load(fh)",
+    ])
+    assert text_reads(source) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def test_only_atomic_module_reads_files_as_text():
+    modules = sorted(PACKAGE.glob("*.py"))
+    readers = {
+        path.name: found for path in modules if path.name != "atomic.py"
+        if (found := text_reads(path.read_text(encoding="utf-8")))
+    }
+    assert readers == {}
+
+
+@pytest.mark.parametrize("content, cause", [
+    (b"\xe9{}", UnicodeDecodeError),
+    (b'{"a": [1, 2', json.JSONDecodeError),
+    (b"[" * 200_000, RecursionError),
+    (b"[1, 2]", TypeError),
+], ids=["not-utf8", "truncated", "too-deep", "list"])
+def test_read_json_object_names_the_file(tmp_path, content, cause):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as info:
+        read_json_object(path)
+    assert str(info.value) == f"{path}: not a UTF-8 JSON object"
+    assert isinstance(info.value.__cause__, cause)
+
+
+def test_read_json_object_returns_the_object_and_passes_os_errors(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes('{"k": ["\u00e9", 1]}'.encode("utf-8"))
+    assert read_json_object(path) == {"k": ["\u00e9", 1]}
+    with pytest.raises(FileNotFoundError):
+        read_json_object(tmp_path / "missing.json")
+
+
+def test_read_lines_numbers_lines_and_keeps_their_ends(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes("a\r\n\u00e9\n\nlast".encode("utf-8"))
+    assert list(read_lines(path)) == [(1, "a\r\n"), (2, "\u00e9\n"), (3, "\n"), (4, "last")]

@@ -262,7 +262,8 @@ def test_cached_bytes_are_stable(tmp_path):
     lambda blob: b"{not json",
     lambda blob: b"\xff\xfe" + blob,
     lambda blob: b"[1, 2]",
-], ids=["truncated", "bad-json", "bad-utf8", "not-a-response"])
+    lambda blob: b"[" * 200_000,
+], ids=["truncated", "bad-json", "bad-utf8", "not-a-response", "too-deep"])
 def test_corrupt_cache_file_is_a_miss_and_rewritten(tmp_path, corrupt):
     calls = []
 

@@ -696,7 +696,7 @@ def test_run_blast_missing_binary_mentions_bypass():
         run_blast(config, FIXTURES / "query.fasta", "out.tsv")
 
 
-def make_fake_blast(tmp_path, payload, exit_code=0):
+def make_fake_blast(tmp_path, payload, exit_code=0, stderr=""):
     script = tmp_path / "fake_blastp"
     script.write_text(
         "#!/bin/sh\n"
@@ -706,6 +706,7 @@ def make_fake_blast(tmp_path, payload, exit_code=0):
         "  shift\n"
         "done\n"
         f"printf '{payload}' > \"$out\"\n"
+        f"printf '{stderr}' >&2\n"
         f"exit {exit_code}\n",
         encoding="utf-8",
     )
@@ -734,6 +735,18 @@ def test_run_blast_nonzero_exit(tmp_path):
     config = replace(config, blast=replace(config.blast, binary=str(binary), db="mini"))
     with pytest.raises(BlastInvocationError, match="exit code 3"):
         run_blast(config, FIXTURES / "query.fasta", tmp_path / "x.tsv")
+
+
+def test_run_blast_failure_with_stderr_that_is_not_utf8(tmp_path, capsys):
+    binary = make_fake_blast(tmp_path, "", exit_code=3, stderr="bad \\377 byte")
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text(yaml.safe_dump({"blast": {"binary": str(binary), "db": "mini"}}),
+                           encoding="utf-8")
+    rc = cli.main(["--config", str(config_path), "blast", "run",
+                   "--query", str(FIXTURES / "query.fasta"), "--out", str(tmp_path / "x.tsv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: alignment run failed with exit code 3: bad \ufffd byte\n")
 
 
 def test_run_blast_recorded_command_replays_identically(tmp_path):
@@ -1039,6 +1052,42 @@ def test_cli_denoise_accepts_handwritten_pool(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "Homolog 1 (P00001)" in out and "Homolog 2 (P00002)" in out
+
+
+NOT_A_JSON_OBJECT = pytest.mark.parametrize("content", [
+    b"\xe9", b'{"stage": "RAW", "homologs"', b"[]",
+], ids=["not-utf8", "truncated", "list"])
+
+
+@NOT_A_JSON_OBJECT
+def test_cli_denoise_names_a_pool_that_is_not_a_json_object(tmp_path, capsys, content):
+    pool_path = tmp_path / "pool.json"
+    pool_path.write_bytes(content)
+    assert cli.main(["--offline", "denoise", "--pool", str(pool_path)]) == 2
+    assert capsys.readouterr().err == f"error: {pool_path}: not a UTF-8 JSON object\n"
+
+
+@NOT_A_JSON_OBJECT
+def test_cli_filter_score_names_a_model_that_is_not_a_json_object(tmp_path, capsys, content):
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(content)
+    assert cli.main(["filter", "score", "--model", str(model_path),
+                     "--instruction", "What does it do?", "--tag", "FUNCTION"]) == 2
+    assert capsys.readouterr().err == f"error: {model_path}: not a UTF-8 JSON object\n"
+
+
+def test_cli_config_errors_name_the_file(tmp_path, capsys):
+    config_path = tmp_path / "c.yaml"
+    lookup = ["--config", str(config_path), "index", "lookup", "--index", str(tmp_path),
+              "--accession", "P12345"]
+    config_path.write_bytes(b"seed: 1\nmode: \xe9\n")
+    assert cli.main(lookup) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unacceptable character #x00e9")
+    assert f'in "{config_path}", position 14' in err
+    config_path.write_bytes(b"seed: 1\nmode: [\n")
+    assert cli.main(lookup) == 2
+    assert f'in "{config_path}", line 3, column 1' in capsys.readouterr().err
 
 
 def test_cli_qa_run_batch_eval(index_dir_module, filter_model_module, tmp_path, capsys):
