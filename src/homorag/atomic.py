@@ -1,5 +1,6 @@
 """Every file the package writes or reads as text goes through this module:
-writes replace the file atomically, reads decode UTF-8 and name the fault."""
+writes replace the file atomically, reads decode UTF-8 and name the fault, and
+every JSON document has the one layout of `dump_json`."""
 
 from __future__ import annotations
 
@@ -25,6 +26,13 @@ def write_atomic(path: Path, data: bytes) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def dump_json(data) -> str:
+    """The package's one layout for a JSON document: sorted keys, no whitespace
+    between tokens, non-ASCII as `\\u` escapes and a trailing newline. The
+    stdlib's C encoder writes it; a value it cannot encode raises TypeError."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:

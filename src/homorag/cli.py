@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .annotations import AccessionNotFound, AnnotationIndex, build_index, format_entry
-from .atomic import read_json_object, write_atomic
+from .atomic import dump_json, read_json_object, write_atomic
 from .config import load_config
 from .denoise import render_context, vertical_filter
 from .gateway import Gateway
@@ -32,7 +32,6 @@ from .metrics import EntityLexicon, render_table
 from .pipeline import (
     Pipeline,
     label_dataset,
-    pretty_json,
     read_dataset,
     run_eval,
     safe_filename,
@@ -209,7 +208,12 @@ def _cmd_filter(args, config) -> int:
 
 
 def _cmd_denoise(args, config) -> int:
-    pool = EvidencePool.from_dict(read_json_object(args.pool))
+    document = read_json_object(args.pool)
+    try:
+        pool = EvidencePool.from_dict(document)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{args.pool}: not an evidence pool ({type(exc).__name__}: {exc})") from exc
     gateway = Gateway(cache_dir=config.paths.cache_dir)
     vertical, warnings = vertical_filter(
         pool, gateway.embedder_handle(config.embedder), _with_flags(config.denoise, args)
@@ -217,13 +221,9 @@ def _cmd_denoise(args, config) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.out:
-        write_atomic(Path(args.out), pretty_json(vertical.to_dict()).encode("utf-8"))
+        write_atomic(Path(args.out), dump_json(vertical.to_dict()).encode())
     print(render_context(vertical))
     return 0
-
-
-class DatasetKeyError(KeyError):
-    pass
 
 
 def _cmd_qa(args, config) -> int:
@@ -246,7 +246,7 @@ def _cmd_qa(args, config) -> int:
         return 0
     records = {r.id: r for r in read_dataset(args.dataset)}
     if args.id not in records:
-        raise DatasetKeyError(f"record id {args.id!r} not found in {args.dataset}")
+        raise LookupError(f"record id {args.id!r} not found in {args.dataset}")
     artifact = pipeline.run_query(records[args.id])
     if args.out:
         out = Path(args.out)

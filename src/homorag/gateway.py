@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .atomic import read_json_object, write_atomic
+from .atomic import dump_json, read_json_object, write_atomic
 from .config import BackendConfig, ENV_API_KEY_VAR, GenerationParams
 from .tag_filter import TokenProbSequence
 
@@ -161,8 +161,7 @@ class Gateway:
 
     def _cache_write(self, path: Path, response: dict):
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(response, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        write_atomic(path, blob)
+        write_atomic(path, dump_json(response).encode())
 
     # -- transport ---------------------------------------------------------
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .annotations import AnnotationIndex
-from .atomic import read_json_object, write_atomic
+from .atomic import dump_json, read_json_object, write_atomic
 from .config import MODE_STAGES, PipelineConfig, default_provenance
 from .denoise import render_context, vertical_filter
 from .gateway import Gateway
@@ -171,7 +171,7 @@ class RunArtifact:
         }
 
     def canonical_json(self) -> str:
-        return pretty_json(self.to_dict())
+        return dump_json(self.to_dict())
 
 
 def replay_context(artifact: dict) -> str:
@@ -181,68 +181,6 @@ def replay_context(artifact: dict) -> str:
         if stage_name in pools:
             return render_context(EvidencePool.from_dict(pools[stage_name]))
     return ""
-
-
-_encode_str = json.encoder.encode_basestring_ascii  # the C function when _json is built
-_int_repr = int.__repr__  # IntEnum and other int subclasses encode as their digits
-_float_repr = float.__repr__
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _encode(o, nl: str, add) -> None:
-    """Append to `add` the chunks `json.dumps(o, sort_keys=True, indent=2)`
-    writes for `o` at the indent `nl` ("\\n" plus two spaces a level). A
-    module-level function, not a closure, so a call leaves no cycle for the GC."""
-    if isinstance(o, str):
-        add(_encode_str(o))
-    elif o is None:
-        add("null")
-    elif o is True:
-        add("true")
-    elif o is False:
-        add("false")
-    elif isinstance(o, int):
-        add(_int_repr(o))
-    elif isinstance(o, float):
-        text = _float_repr(o)
-        add(_NON_FINITE.get(text, text))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            add("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for value in o:
-            add(sep)
-            _encode(value, inner, add)
-            sep = "," + inner
-        add(nl + "]")
-    elif isinstance(o, dict):
-        if not o:
-            add("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, value in sorted(o.items()):
-            add(sep + _encode_str(key) + ": ")
-            _encode(value, inner, add)
-            sep = "," + inner
-        add(nl + "}")
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def pretty_json(data: dict) -> str:
-    """Sorted keys, indent 2: the layout of artifacts, timings, summaries and
-    pools, i.e. `json.dumps(data, sort_keys=True, indent=2) + "\\n"`. Built
-    by `_encode`, because up to CPython 3.12 any `indent` sends json.dumps
-    through pure-Python generator closures: about half the speed, and a
-    reference cycle left for the GC by every call. A non-str key raises
-    TypeError."""
-    chunks: list[str] = []
-    _encode(data, "\n", chunks.append)
-    chunks.append("\n")
-    return "".join(chunks)
 
 
 def safe_filename(record_id: str) -> str:
@@ -363,7 +301,7 @@ class Pipeline:
             artifact = self.run_query(record)
             name = safe_filename(record.id)
             write_atomic(artifacts_dir / f"{name}.json", artifact.canonical_json().encode())
-            write_atomic(timings_dir / f"{name}.json", pretty_json(artifact.timings).encode())
+            write_atomic(timings_dir / f"{name}.json", dump_json(artifact.timings).encode())
             return 1 if artifact.errors else 0
 
         with ThreadPoolExecutor(max_workers=_batch_workers(self.config)) as pool:
@@ -380,7 +318,7 @@ class Pipeline:
             "skipped_malformed": sorted(ident for ident, _ in bad_lines),
             "records_with_errors": failures,
         }
-        write_atomic(out / "summary.json", pretty_json(summary).encode())
+        write_atomic(out / "summary.json", dump_json(summary).encode())
         return summary
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Protocol, Sequence
 import numpy as np
 
 from .annotations import normalize_tag
-from .atomic import read_json_object, read_lines, write_atomic
+from .atomic import dump_json, read_json_object, read_lines, write_atomic
 from .config import ENCODER_RECIPE, IgConfig, PipelineConfig, TrainConfig
 from .homology import EvidencePool, Stage
 
@@ -371,26 +371,41 @@ class FilterModel:
             "weights": {str(int(i)): float(self.weights[i]) for i in nz},
             "metadata": self.metadata,
         }
-        write_atomic(Path(path), json.dumps(payload, sort_keys=True, indent=1).encode("utf-8"))
+        write_atomic(Path(path), dump_json(payload).encode())
 
     @classmethod
     def load(cls, path: str | Path) -> "FilterModel":
+        """The model saved at path. A file that is not a model of this format
+        and feature space raises ValueError `<path>: <fault>`."""
         payload = read_json_object(path)
+
+        def fault(message: str) -> ValueError:
+            return ValueError(f"{path}: {message}")
+
         if payload.get("format") != MODEL_FORMAT:
-            raise ValueError(f"unsupported model format {payload.get('format')!r}")
+            raise fault(f"unsupported model format {payload.get('format')!r}")
+        missing = [k for k in ("feature_dim", "bias", "weights") if k not in payload]
+        if missing:
+            raise fault(f"model lacks {', '.join(missing)}")
         if payload["feature_dim"] != FEATURE_DIM:
-            raise ValueError(
+            raise fault(
                 f"model feature_dim {payload['feature_dim']} does not match the "
                 f"{FEATURE_DIM} hashed features this version scores"
             )
+        bias, stored, metadata = payload["bias"], payload["weights"], payload.get("metadata", {})
+        if type(bias) not in (int, float):
+            raise fault(f"model bias {bias!r} is not a number")
+        if not isinstance(stored, dict) or not isinstance(metadata, dict):
+            raise fault("model weights and metadata must be JSON objects")
         weights = np.zeros(FEATURE_DIM)
-        for idx, val in payload["weights"].items():
-            weights[int(idx)] = val
-        return cls(
-            weights=weights,
-            bias=payload["bias"],
-            metadata=payload.get("metadata", {}),
-        )
+        for key, value in stored.items():
+            index = int(key) if key.isascii() and key.isdigit() else FEATURE_DIM
+            if index >= FEATURE_DIM:
+                raise fault(f"weight key {key!r} is not an integer in [0, {FEATURE_DIM})")
+            if type(value) not in (int, float):
+                raise fault(f"weight {key} is {value!r}, not a number")
+            weights[index] = value
+        return cls(weights=weights, bias=bias, metadata=metadata)
 
 
 def _logits(model: FilterModel, feats: Sequence[dict[int, float]]) -> list[float]:

@@ -1,6 +1,7 @@
-"""Every file the package writes goes through `homorag.atomic.write_atomic`, and
+"""Every file the package writes goes through `homorag.atomic.write_atomic`,
 every file it reads as text goes through `read_lines` or `read_json_object`
-there, which decode UTF-8 and name the fault."""
+there, which decode UTF-8 and name the fault, and every JSON document takes its
+layout from `dump_json` there."""
 
 import ast
 import json
@@ -101,6 +102,65 @@ def test_only_atomic_module_reads_files_as_text():
         if (found := text_reads(path.read_text(encoding="utf-8")))
     }
     assert readers == {}
+
+
+def json_dumps_calls(source: str) -> list[tuple[str, int, bool]]:
+    """(qualified name of the enclosing function, line, whether it passes
+    `indent=`) of each `json.dumps` / `json.dump` call, and of `dumps` /
+    `dump` called by a bare name."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id in ("dumps", "dump")) or (
+                        isinstance(func, ast.Attribute) and func.attr in ("dumps", "dump")
+                        and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                    indent = any(k.arg == "indent" for k in child.keywords)
+                    found.append((".".join(scope), child.lineno, indent))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found, key=lambda call: call[1])
+
+
+# the one layout, the two digest inputs, the two JSON-lines writers and `qa batch`'s stdout line
+JSON_DUMPS_SITES = {
+    ("atomic.py", "dump_json"),
+    ("config.py", "PipelineConfig.digest"),
+    ("gateway.py", "CacheKey.for_request"),
+    ("tag_filter.py", "write_examples"),
+    ("metrics.py", "rows_to_jsonl"),
+    ("cli.py", "_cmd_qa"),
+}
+
+
+def test_scan_finds_each_json_dumps_call():
+    source = "\n".join([
+        "json.dumps(x)",
+        "class A:",
+        "    def f(self):",
+        "        return [json.dumps(y, indent=1) for y in self]",
+        "def g(fh):",
+        "    json.dump(x, fh, sort_keys=True)",
+        "    dumps(x, indent=None)",
+        "    json.loads(s); other.dumps(x); yaml.dump(x)",
+    ])
+    assert json_dumps_calls(source) == [
+        ("", 1, False), ("A.f", 4, True), ("g", 6, False), ("g", 7, True)]
+
+
+def test_json_documents_take_their_layout_from_dump_json():
+    calls = [
+        (path.name, scope, line, indent) for path in sorted(PACKAGE.glob("*.py"))
+        for scope, line, indent in json_dumps_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert {(name, scope) for name, scope, _, _ in calls} == JSON_DUMPS_SITES
+    assert [call for call in calls if call[3]] == []
 
 
 @pytest.mark.parametrize("content, cause", [

@@ -1076,6 +1076,28 @@ def test_cli_filter_score_names_a_model_that_is_not_a_json_object(tmp_path, caps
     assert capsys.readouterr().err == f"error: {model_path}: not a UTF-8 JSON object\n"
 
 
+def test_cli_filter_score_names_a_malformed_model(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text('{"format": "homorag-filter/1", "feature_dim": 262144, "bias": 0,'
+                          ' "weights": {"abc": 1.0}}', encoding="utf-8")
+    assert cli.main(["filter", "score", "--model", str(model_path),
+                     "--instruction", "What does it do?", "--tag", "FUNCTION"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {model_path}: weight key 'abc' is not an integer in [0, 262144)\n")
+
+
+@pytest.mark.parametrize("pool, cause", [
+    ({}, "KeyError: 'stage'"),
+    ({"stage": "RAW", "homologs": [{"rank": 1, "hit": {}}]}, "KeyError: 'snippets'"),
+    ({"stage": "BOGUS", "homologs": []}, "ValueError: 'BOGUS' is not a valid Stage"),
+], ids=["empty", "no-snippets", "bad-stage"])
+def test_cli_denoise_names_a_file_that_is_not_a_pool(tmp_path, capsys, pool, cause):
+    pool_path = tmp_path / "pool.json"
+    pool_path.write_text(json.dumps(pool), encoding="utf-8")
+    assert cli.main(["--offline", "denoise", "--pool", str(pool_path)]) == 2
+    assert capsys.readouterr().err == f"error: {pool_path}: not an evidence pool ({cause})\n"
+
+
 def test_cli_config_errors_name_the_file(tmp_path, capsys):
     config_path = tmp_path / "c.yaml"
     lookup = ["--config", str(config_path), "index", "lookup", "--index", str(tmp_path),
@@ -1112,6 +1134,15 @@ def test_cli_qa_run_batch_eval(index_dir_module, filter_model_module, tmp_path, 
                    "--out", str(tmp_path / "report")])
     assert rc == 0
     assert "Catalytic Activity" in capsys.readouterr().out
+
+
+def test_cli_qa_run_unknown_id(index_dir_module, filter_model_module, tmp_path, capsys):
+    config_path = write_cli_config(tmp_path / "config.yaml", index_dir_module,
+                                   filter_model_module, tmp_path / "cache")
+    dataset = FIXTURES / "qa_records.jsonl"
+    assert cli.main(["--config", str(config_path), "qa", "run",
+                     "--dataset", str(dataset), "--id", "nosuch"]) == 2
+    assert capsys.readouterr().err == f"error: record id 'nosuch' not found in {dataset}\n"
 
 
 def test_cli_qa_run_keeps_artifact_inside_out(index_dir_module, filter_model_module, tmp_path,

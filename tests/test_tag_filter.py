@@ -538,6 +538,47 @@ def test_load_rejects_other_feature_dim(tmp_path, trained_model):
         FilterModel.load(path)
 
 
+def _key_fault(key):
+    return f"weight key {key!r} is not an integer in [0, {FEATURE_DIM})"
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda p: {**p, "format": "other/9"}, "unsupported model format 'other/9'"),
+    (lambda p: {k: v for k, v in p.items() if k != "feature_dim"}, "model lacks feature_dim"),
+    (lambda p: {"format": p["format"]}, "model lacks feature_dim, bias, weights"),
+    (lambda p: {**p, "feature_dim": 100},
+     f"model feature_dim 100 does not match the {FEATURE_DIM} hashed features this version scores"),
+    (lambda p: {**p, "bias": "0.5"}, "model bias '0.5' is not a number"),
+    (lambda p: {**p, "weights": [0.5]}, "model weights and metadata must be JSON objects"),
+    (lambda p: {**p, "metadata": None}, "model weights and metadata must be JSON objects"),
+    (lambda p: {**p, "weights": {"-1": 0.5}}, _key_fault("-1")),
+    (lambda p: {**p, "weights": {"abc": 0.5}}, _key_fault("abc")),
+    (lambda p: {**p, "weights": {"+7": 0.5}}, _key_fault("+7")),
+    (lambda p: {**p, "weights": {str(FEATURE_DIM): 0.5}}, _key_fault(str(FEATURE_DIM))),
+    (lambda p: {**p, "weights": {"999999999": 0.5}}, _key_fault("999999999")),
+    (lambda p: {**p, "weights": {"7": "0.5"}}, "weight 7 is '0.5', not a number"),
+    (lambda p: {**p, "weights": {"7": True}}, "weight 7 is True, not a number"),
+], ids=["format", "no-feature-dim", "only-format", "feature-dim", "bias", "weights-list",
+        "metadata-null", "key-negative", "key-word", "key-signed", "key-at-dim", "key-too-big",
+        "weight-text", "weight-bool"])
+def test_load_refuses_a_malformed_model_naming_the_file(tmp_path, trained_model, edit, fault):
+    path = tmp_path / "model.json"
+    trained_model.save(path)
+    path.write_text(json.dumps(edit(json.loads(path.read_bytes()))), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        FilterModel.load(path)
+    assert str(info.value) == f"{path}: {fault}"
+
+
+def test_load_reads_every_stored_weight(tmp_path):
+    weights = np.zeros(FEATURE_DIM)
+    weights[[0, 7, FEATURE_DIM - 1]] = [0.25, -1.5, 2.0]
+    path = tmp_path / "model.json"
+    FilterModel(weights=weights, bias=-0.5).save(path)
+    loaded = FilterModel.load(path)
+    assert np.array_equal(loaded.weights, weights) and loaded.bias == -0.5
+
+
 # -- gate --------------------------------------------------------------------------------------------
 
 def hit_for(acc, rank):
