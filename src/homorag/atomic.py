@@ -1,6 +1,7 @@
 """Every file the package writes or reads as text goes through this module:
 writes replace the file atomically, reads decode UTF-8 and name the fault, and
-every JSON document has the one layout of `dump_json`."""
+every JSON document has the one layout of `dump_json`. `loads_json_object` also
+checks the JSON object an HTTP backend sends back."""
 
 from __future__ import annotations
 
@@ -47,17 +48,21 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def read_json_object(path: str | Path) -> dict:
-    """The JSON object that path holds as UTF-8. Bytes that are not UTF-8, bad
+def loads_json_object(blob: bytes, where) -> dict:
+    """The JSON object that blob holds as UTF-8. Bytes that are not UTF-8, bad
     or truncated JSON, nesting too deep or a value that is not an object raise
-    ValueError `<path>: not a UTF-8 JSON object`, cause chained; OSError passes."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    ValueError `<where>: not a UTF-8 JSON object`, cause chained."""
     try:
         data = json.loads(blob.decode("utf-8"))
         if not isinstance(data, dict):
             raise TypeError(f"holds a JSON {type(data).__name__}, not an object")
     # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep nesting is a RecursionError
     except (ValueError, TypeError, RecursionError) as exc:
-        raise ValueError(f"{path}: not a UTF-8 JSON object") from exc
+        raise ValueError(f"{where}: not a UTF-8 JSON object") from exc
     return data
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object that path holds, checked by `loads_json_object`; OSError passes."""
+    with open(path, "rb") as fh:
+        return loads_json_object(fh.read(), path)

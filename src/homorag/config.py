@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -80,8 +81,8 @@ class IgConfig:
             raise ConfigError(f"ig.omega must be in (0, 1], got {self.omega}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"ig.alpha must be in [0, 1], got {self.alpha}")
-        if self.tau <= 0.0:
-            raise ConfigError(f"ig.tau must be > 0, got {self.tau}")
+        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+            raise ConfigError(f"ig.tau must be > 0 and finite, got {self.tau}")
 
 
 @dataclass
@@ -92,8 +93,8 @@ class DenoiseConfig:
     anchor_top_m: int = 1
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ConfigError(f"denoise.eps must be > 0, got {self.eps}")
+        if not (self.eps > 0.0 and math.isfinite(self.eps)):
+            raise ConfigError(f"denoise.eps must be > 0 and finite, got {self.eps}")
         if self.min_pts < 1:
             raise ConfigError(f"denoise.min_pts must be >= 1, got {self.min_pts}")
         if self.metric not in ("cosine", "euclidean"):
@@ -134,6 +135,9 @@ class GenerationParams:
     frequency_penalty: float = 0.0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"generation.{name} must be finite, got {value}")
         if self.temperature < 0.0:
             raise ConfigError(f"generation.temperature must be >= 0, got {self.temperature}")
         if not (0.0 < self.top_p <= 1.0):
@@ -157,10 +161,16 @@ class BackendConfig:
     def __post_init__(self):
         if self.role not in MOCK_ENDPOINTS:
             raise ConfigError(f"backend role must be scorer|embedder|generator, got {self.role!r}")
+        if not (isinstance(self.endpoint, str)
+                and self.endpoint.startswith(("mock:", "http://", "https://"))):
+            raise ConfigError(
+                f"backend.endpoint must be mock:<name> or an http(s):// URL, got {self.endpoint!r}")
         if self.max_in_flight < 1:
             raise ConfigError(f"backend.max_in_flight must be >= 1, got {self.max_in_flight}")
         if self.max_retries < 0:
             raise ConfigError(f"backend.max_retries must be >= 0, got {self.max_retries}")
+        if not (self.timeout > 0.0 and math.isfinite(self.timeout)):
+            raise ConfigError(f"backend.timeout must be > 0 and finite, got {self.timeout}")
 
 
 @dataclass

@@ -17,11 +17,21 @@ pipeline path runs offline:
   mock:echo              generator; echoes the prompt's "Homolog ..." context
                          lines verbatim
 
-Responses are cached on disk keyed by a digest of the canonicalized request;
-a cache file that is not a UTF-8 JSON object is a miss and is rewritten. A
-failed request is retried up to max_retries times with jittered exponential
-backoff, unless its HTTP status says a retry cannot help (a 4xx other than
-408 and 429). At most max_in_flight requests run concurrently per backend.
+Requests go out through the standard library's `urllib.request`, which
+honours the `*_proxy` environment variables; the body has the `dump_json`
+layout. HTTPS certificates are checked against Python's default trust store
+(the system CAs, or SSL_CERT_FILE / SSL_CERT_DIR); REQUESTS_CA_BUNDLE and
+~/.netrc are not read. Redirects are not followed: a 3xx answer is a failed
+request, tried once, so the API key never reaches another host. A response
+body that is not a UTF-8 JSON object is a failed request naming the role and
+endpoint, and is retried like any other fault.
+
+Responses are cached on disk keyed by a digest of the role, endpoint, model
+and canonicalized request; a cache file that is not a UTF-8 JSON object is a
+miss and is rewritten. A failed request is retried up to max_retries times
+with jittered exponential backoff, unless its HTTP status says a retry cannot
+help (a 3xx, or a 4xx other than 408 and 429). At most max_in_flight requests
+run concurrently per backend.
 Embedding vectors are also memoised in memory per (endpoint, model, text), so
 an embed request carries only the texts the gateway has not embedded yet.
 """
@@ -36,13 +46,14 @@ import random
 import re
 import threading
 import time
+import urllib.error
 import zlib
 from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .atomic import dump_json, read_json_object, write_atomic
+from .atomic import dump_json, loads_json_object, read_json_object, write_atomic
 from .config import BackendConfig, ENV_API_KEY_VAR, GenerationParams
 from .tag_filter import TokenProbSequence
 
@@ -73,7 +84,8 @@ class CacheKey:
     @classmethod
     def for_request(cls, cfg: BackendConfig, kind: str, payload: dict) -> "CacheKey":
         blob = json.dumps(
-            {"role": cfg.role, "model": cfg.model, "kind": kind, "payload": payload},
+            {"role": cfg.role, "endpoint": cfg.endpoint, "model": cfg.model, "kind": kind,
+             "payload": payload},
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -88,19 +100,34 @@ class CacheKey:
 
 
 def _is_transient(exc: Exception) -> bool:
-    """False only for an error whose HTTP status is a 4xx other than 408
-    (request timeout) and 429 (too many requests): resending the same request
-    cannot change that answer."""
-    status = getattr(getattr(exc, "response", None), "status_code", None)
-    return not (isinstance(status, int) and 400 <= status < 500 and status not in (408, 429))
+    """False only for an HTTP error whose status is a 3xx (redirects are not
+    followed) or a 4xx other than 408 (request timeout) and 429 (too many
+    requests): resending the same request cannot change that answer."""
+    return not (isinstance(exc, urllib.error.HTTPError) and 300 <= exc.code < 500
+                and exc.code not in (408, 429))
 
 
 def _http_post_json(url: str, payload: dict, timeout: float, headers: dict) -> dict:
-    import requests
+    import urllib.request  # loads ssl, which only a real backend needs
 
-    resp = requests.post(url, json=payload, timeout=timeout, headers=headers)
-    resp.raise_for_status()
-    return resp.json()
+    # urlopen's opener also reads file:, ftp: and data: URLs and follows
+    # redirects, resending the Authorization header to whatever host the
+    # Location names; this one speaks http(s) only and turns a 3xx into an
+    # HTTPError.
+    opener = urllib.request.OpenerDirector()
+    for handler in (urllib.request.ProxyHandler(), urllib.request.UnknownHandler(),
+                    urllib.request.HTTPHandler(), urllib.request.HTTPSHandler(),
+                    urllib.request.HTTPDefaultErrorHandler(),
+                    urllib.request.HTTPErrorProcessor()):
+        opener.add_handler(handler)
+    request = urllib.request.Request(
+        url, data=dump_json(payload).encode(), headers=headers, method="POST")
+    try:
+        with opener.open(request, timeout=timeout) as response:
+            return loads_json_object(response.read(), f"{url} response")
+    except urllib.error.HTTPError as exc:
+        exc.close()  # an error response holds the socket open until closed
+        raise
 
 
 def _parse_mock_endpoint(endpoint: str) -> tuple[str, dict]:

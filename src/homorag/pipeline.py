@@ -83,6 +83,11 @@ class QARecord:
         missing = [k for k in ("id", "instruction", "sequence", "task", "instruction_type") if k not in d]
         if missing:
             raise ValueError(f"record missing fields {missing}")
+        for key in ("instruction", "sequence", "task", "instruction_type", "answer"):
+            value = d.get(key)
+            if not (isinstance(value, str) or (key == "answer" and value is None)):
+                raise ValueError(
+                    f"record {str(d['id'])!r}: {key} must be a string, got {type(value).__name__}")
         return cls(
             id=str(d["id"]),
             instruction=d["instruction"],

@@ -1,10 +1,14 @@
 """Every file the package writes goes through `homorag.atomic.write_atomic`,
 every file it reads as text goes through `read_lines` or `read_json_object`
 there, which decode UTF-8 and name the fault, and every JSON document takes its
-layout from `dump_json` there."""
+layout from `dump_json` there. The package imports nothing beyond the standard
+library, numpy and PyYAML."""
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,18 +20,36 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "homorag"
 _FILE_FIRST = {"io", "os", "codecs", "gzip", "bz2", "lzma"}
 
 
+def url_openers(tree: ast.AST) -> set[str]:
+    """Names bound to an `OpenerDirector()`, whose `open` fetches a URL through
+    the handlers added to it; the gateway's has no file: handler."""
+    return {
+        target.id for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "attr", getattr(node.value.func, "id", None))
+        == "OpenerDirector"
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+
+def is_url_open(func: ast.expr, openers: set[str]) -> bool:
+    return isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+        and func.value.id in openers
+
+
 def file_writes(source: str) -> list[int]:
     """Line numbers of `open` calls whose mode writes, appends or creates (or
     is not a literal), and of `write_text` / `write_bytes` calls."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
+    lines, tree = [], ast.parse(source)
+    openers = url_openers(tree)
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         if name in ("write_text", "write_bytes"):
             lines.append(node.lineno)
-        elif name == "open":
+        elif name == "open" and not is_url_open(func, openers):
             file_first = isinstance(func, ast.Name) or (
                 isinstance(func.value, ast.Name) and func.value.id in _FILE_FIRST)
             pos = 1 if file_first else 0
@@ -49,6 +71,15 @@ def test_scan_finds_each_way_of_writing():
     assert file_writes(source) == [1, 2, 3, 4, 5, 6, 7]
 
 
+def test_scan_passes_only_opens_on_a_url_opener():
+    source = "\n".join([
+        "o = urllib.request.OpenerDirector()", "o.open(request, timeout=t)",
+        "p.open(request)", "other.o.open(request)", "open(o)",
+    ])
+    assert file_writes(source) == [3, 4]
+    assert text_reads(source) == [3, 4, 5]
+
+
 def test_only_atomic_module_opens_files_for_writing():
     modules = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "atomic.py" in modules
@@ -63,8 +94,9 @@ def test_only_atomic_module_opens_files_for_writing():
 def text_reads(source: str) -> list[int]:
     """Line numbers of `open` calls whose mode is not binary (or is not a
     literal), and of `read_text` / `json.load` calls."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
+    lines, tree = [], ast.parse(source)
+    openers = url_openers(tree)
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -73,7 +105,7 @@ def text_reads(source: str) -> list[int]:
                                    and isinstance(func.value, ast.Name)
                                    and func.value.id == "json"):
             lines.append(node.lineno)
-        elif name == "open":
+        elif name == "open" and not is_url_open(func, openers):
             file_first = isinstance(func, ast.Name) or (
                 isinstance(func.value, ast.Name) and func.value.id in _FILE_FIRST)
             pos = 1 if file_first else 0
@@ -161,6 +193,48 @@ def test_json_documents_take_their_layout_from_dump_json():
     ]
     assert {(name, scope) for name, scope, _, _ in calls} == JSON_DUMPS_SITES
     assert [call for call in calls if call[3]] == []
+
+
+def absolute_imports(source: str) -> list[tuple[int, str]]:
+    """(line, top-level name) of each absolute import, those inside functions too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.partition(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.partition(".")[0]))
+    return sorted(found)
+
+
+def test_scan_finds_each_absolute_import():
+    source = "\n".join([
+        "import os.path, numpy as np", "from yaml import safe_load", "from . import atomic",
+        "def f():", "    import scipy.sparse", "    from .config import X",
+    ])
+    assert absolute_imports(source) == [(1, "numpy"), (1, "os"), (2, "yaml"), (5, "scipy")]
+
+
+def test_package_imports_only_the_standard_library_numpy_and_yaml():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml"}
+    foreign = {
+        path.name: found for path in sorted(PACKAGE.glob("*.py"))
+        if (found := [(line, name) for line, name in
+                      absolute_imports(path.read_text(encoding="utf-8")) if name not in allowed])
+    }
+    assert foreign == {}
+
+
+def test_importing_the_cli_and_pipeline_loads_no_ssl():
+    # urllib.request loads ssl, so only the HTTP transport may import it, when called
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, homorag.cli, homorag.pipeline;"
+         "print(sorted({'ssl', 'urllib.request'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("content, cause", [

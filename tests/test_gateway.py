@@ -3,11 +3,13 @@
 import json
 import threading
 import time
+import urllib.error
 
 import pytest
 
 from homorag.config import BackendConfig, GenerationParams
 from homorag.gateway import (
+    ECHO_EMPTY,
     CacheKey,
     Gateway,
     GatewayError,
@@ -226,8 +228,28 @@ def test_cache_key_stability():
     a = CacheKey.for_request(cfg, "score", {"prompt": "p", "target": "t"})
     b = CacheKey.for_request(cfg, "score", {"prompt": "p", "target": "t"})
     c = CacheKey.for_request(cfg, "score", {"prompt": "p2", "target": "t"})
+    d = CacheKey.for_request(cfg_for("scorer", "mock:uniform(0.9)"), "score",
+                             {"prompt": "p", "target": "t"})
     assert a == b
     assert a != c
+    assert a != d  # same role, model and request; only the endpoint differs
+
+
+def test_cache_is_per_endpoint(tmp_path):
+    narrow = Gateway(cache_dir=tmp_path).embed(cfg_for("embedder", "mock:hash(dim=8)"), ["alpha"])
+    wide = Gateway(cache_dir=tmp_path).embed(cfg_for("embedder", "mock:hash(dim=4)"), ["alpha"])
+    assert (len(narrow[0]), len(wide[0])) == (8, 4)
+    calls = []
+
+    def transport(url, payload, timeout, headers):
+        calls.append(url)
+        return {"text": "remote"}
+
+    gw = Gateway(cache_dir=tmp_path, transport=transport)
+    assert gw.generate(cfg_for("generator", "mock:echo"), "prompt") == ECHO_EMPTY
+    assert gw.generate(cfg_for("generator", "http://backend.test/gen"), "prompt") == "remote"
+    assert calls == ["http://backend.test/gen"]
+    assert len(list(tmp_path.glob("*.json"))) == 4
 
 
 def test_cache_hit_avoids_backend_call(tmp_path):
@@ -306,12 +328,8 @@ def test_no_cache_dir_builds_no_cache_key(tmp_path, monkeypatch):
 
 # -- retries -----------------------------------------------------------------------
 
-class HTTPStatusError(Exception):
-    """Shaped like requests.HTTPError: the status is on exc.response."""
-
-    def __init__(self, status):
-        super().__init__(f"HTTP {status}")
-        self.response = type("Response", (), {"status_code": status})()
+def http_error(status):
+    return urllib.error.HTTPError("http://backend.test/gen", status, "status", None, None)
 
 
 def failing_then_ok(*errors):
@@ -328,11 +346,11 @@ def failing_then_ok(*errors):
 
 @pytest.mark.parametrize("status", [400, 401, 404, 422])
 def test_client_error_is_not_retried(status):
-    transport, calls = failing_then_ok(HTTPStatusError(status))
+    transport, calls = failing_then_ok(http_error(status))
     gw = Gateway(transport=transport)
     gw.retry_backoff = 0.0
     cfg = cfg_for("generator", "http://backend.test/gen", max_retries=3)
-    with pytest.raises(GatewayError, match=f"after 1 attempts: HTTP {status}") as err:
+    with pytest.raises(GatewayError, match=f"after 1 attempts: HTTP Error {status}") as err:
         gw.generate(cfg, "prompt")
     assert err.value.attempts == 1
     assert len(calls) == 1
@@ -340,7 +358,7 @@ def test_client_error_is_not_retried(status):
 
 @pytest.mark.parametrize("status", [408, 429, 500, 503])
 def test_transient_status_is_retried(status):
-    transport, calls = failing_then_ok(HTTPStatusError(status))
+    transport, calls = failing_then_ok(http_error(status))
     gw = Gateway(transport=transport)
     gw.retry_backoff = 0.0
     cfg = cfg_for("generator", "http://backend.test/gen", max_retries=2)
@@ -354,7 +372,7 @@ def test_retry_waits_grow_exponentially_with_jitter(monkeypatch):
     waits, ranges = [], []
     monkeypatch.setattr(gateway.time, "sleep", waits.append)
     monkeypatch.setattr(gateway.random, "uniform", lambda lo, hi: ranges.append((lo, hi)) or hi)
-    transport, calls = failing_then_ok(*(HTTPStatusError(503) for _ in range(4)))
+    transport, calls = failing_then_ok(*(http_error(503) for _ in range(4)))
     gw = Gateway(transport=transport)
     gw.retry_backoff = 1.0
     cfg = cfg_for("generator", "http://backend.test/gen", max_retries=3)

@@ -29,6 +29,7 @@ from homorag.config import (
     PipelineConfig,
     RetrievalConfig,
     TrainConfig,
+    config_from_dict,
     default_provenance,
     load_config,
 )
@@ -130,17 +131,37 @@ def test_read_dataset_strict_raises(tmp_path):
         read_dataset(bad)
 
 
+# valid JSON objects with a field of the wrong JSON type, ids type-1 to type-5
+WRONG_TYPE_LINES = [
+    '{"id": "type-1", "instruction": 5, "sequence": "ACDE", "task": "t", "instruction_type": "i"}',
+    '{"id": "type-2", "instruction": "x", "sequence": null, "task": "t", "instruction_type": "i"}',
+    '{"id": "type-3", "instruction": "x", "sequence": "ACDE", "task": 3, "instruction_type": "i"}',
+    '{"id": "type-4", "instruction": "x", "sequence": "ACDE", "task": "t", "instruction_type": []}',
+    '{"id": "type-5", "instruction": "x", "sequence": "ACDE", "task": "t", "instruction_type": "i",'
+    ' "answer": 7}',
+]
+
+
 def test_read_dataset_collects_bad_lines(tmp_path):
     good = (FIXTURES / "qa_records.jsonl").read_text(encoding="utf-8").splitlines()[0]
     dataset = tmp_path / "data.jsonl"
     dataset.write_text("\n".join([
         "5", good, "[1, 2]", "", "{not json",
         '{"id": "bad-1", "instruction": "x", "sequence": "AC1", "task": "t", "instruction_type": "i"}',
+        *WRONG_TYPE_LINES,
     ]) + "\n", encoding="utf-8")
     bad_lines = []
     assert [r.id for r in read_dataset(dataset, bad_lines)] == ["case-r1"]
-    assert [ident for ident, _ in bad_lines] == ["line-1", "line-3", "line-5", "bad-1"]
+    assert [ident for ident, _ in bad_lines] == [
+        "line-1", "line-3", "line-5", "bad-1", "type-1", "type-2", "type-3", "type-4", "type-5"]
     assert "JSON object" in bad_lines[0][1] and "invalid residues" in bad_lines[3][1]
+    assert [error for _, error in bad_lines[4:]] == [
+        "record 'type-1': instruction must be a string, got int",
+        "record 'type-2': sequence must be a string, got NoneType",
+        "record 'type-3': task must be a string, got int",
+        "record 'type-4': instruction_type must be a string, got list",
+        "record 'type-5': answer must be a string, got int",
+    ]
     with pytest.raises(DatasetError, match=":1: record must be a JSON object"):
         read_dataset(dataset)
 
@@ -478,13 +499,15 @@ def test_batch_skips_malformed_records(index_dir_module, filter_model_module, tm
     good = (FIXTURES / "qa_records.jsonl").read_text(encoding="utf-8").splitlines()[:2]
     dataset.write_text(
         good[0] + "\n" + "not json at all\n" + good[1] + "\n"
-        + '{"id": "bad-1", "instruction": "x", "sequence": "AC1", "task": "t", "instruction_type": "i"}\n',
+        + '{"id": "bad-1", "instruction": "x", "sequence": "AC1", "task": "t", "instruction_type": "i"}\n'
+        + "".join(line + "\n" for line in WRONG_TYPE_LINES),
         encoding="utf-8",
     )
     config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
     summary = Pipeline(config).run_batch(dataset, tmp_path / "out")
     assert summary["processed"] == 2
-    assert summary["skipped_malformed"] == ["bad-1", "line-2"]
+    assert summary["skipped_malformed"] == [
+        "bad-1", "line-2", "type-1", "type-2", "type-3", "type-4", "type-5"]
 
 
 def _not_utf8_at(path: Path, line: int) -> Path:
@@ -1239,6 +1262,34 @@ def test_load_config_rejects_removed_keys(tmp_path, payload):
     config_path.write_text(yaml.safe_dump(payload), encoding="utf-8")
     with pytest.raises(ConfigError, match="unknown"):
         load_config(config_path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("generation: {temperature: .nan}", "generation.temperature must be finite, got nan"),
+    ("generation: {presence_penalty: .inf}", "generation.presence_penalty must be finite, got inf"),
+    ("generation: {max_tokens: .inf}", "generation.max_tokens must be finite, got inf"),
+    ("denoise: {eps: .nan}", "denoise.eps must be > 0 and finite, got nan"),
+    ("ig: {tau: .nan}", "ig.tau must be > 0 and finite, got nan"),
+    ("backends: {scorer: {endpoint: 'http://b.test', timeout: 0}}",
+     "backend.timeout must be > 0 and finite, got 0"),
+    ("backends: {embedder: {endpoint: 'http://b.test', timeout: -1}}",
+     "backend.timeout must be > 0 and finite, got -1"),
+    ("backends: {generator: {endpoint: 'http://b.test', timeout: .nan}}",
+     "backend.timeout must be > 0 and finite, got nan"),
+    ("backends: {generator: {endpoint: 'file:///etc/hostname'}}",
+     "backend.endpoint must be mock:<name> or an http(s):// URL, got 'file:///etc/hostname'"),
+    ("backends: {scorer: {endpoint: 'ftp://b.test/score'}}",
+     "backend.endpoint must be mock:<name> or an http(s):// URL, got 'ftp://b.test/score'"),
+    ("backends: {embedder: {endpoint: 'data:,{}'}}",
+     "backend.endpoint must be mock:<name> or an http(s):// URL, got 'data:,{}'"),
+    ("backends: {embedder: {endpoint: 'b.test/embed'}}",
+     "backend.endpoint must be mock:<name> or an http(s):// URL, got 'b.test/embed'"),
+], ids=["temperature-nan", "presence-inf", "max-tokens-inf", "eps-nan", "tau-nan",
+        "timeout-0", "timeout-negative", "timeout-nan",
+        "endpoint-file", "endpoint-ftp", "endpoint-data", "endpoint-no-scheme"])
+def test_config_refuses_values_a_request_cannot_carry(text, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_dict(yaml.safe_load(text))
 
 
 def test_load_config_seed_override(tmp_path):
