@@ -246,7 +246,10 @@ def _build_section(cls, data: dict, where: str):
     for key in data:
         if key not in valid:
             raise ConfigError(f"unknown key '{where}.{key}'")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except TypeError as exc:  # a required key missing, or a value of the wrong type
+        raise ConfigError(f"section '{where}': {exc}") from exc
 
 
 def config_from_dict(data: dict) -> PipelineConfig:

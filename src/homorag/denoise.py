@@ -117,14 +117,17 @@ def dbscan(vectors: Sequence[Sequence[float]] | np.ndarray, cfg: DenoiseConfig) 
     if points.ndim != 2:
         raise ValueError("vectors must share one dimension")
     n = len(points)
+    if n < cfg.min_pts:  # no point has min_pts neighbours, itself included
+        return ClusterSet(clusters=(), noise=tuple(range(n)), n_points=n)
 
-    dist = _distance_matrix(points, cfg.metric)
-    within = dist <= cfg.eps
-    neighbor_counts = within.sum(axis=1)
-    is_core = neighbor_counts >= cfg.min_pts
+    # Python lists: at the few points a pool holds, per-row numpy calls cost
+    # more than the loops they would replace
+    within = (_distance_matrix(points, cfg.metric) <= cfg.eps).tolist()
+    is_core = [sum(row) >= cfg.min_pts for row in within]
 
     # canonical rank: position under lexicographic vector ordering
-    order = sorted(range(n), key=lambda i: tuple(points[i]))
+    coords = points.tolist()
+    order = sorted(range(n), key=coords.__getitem__)
     canon = [0] * n
     for pos, i in enumerate(order):
         canon[i] = pos
@@ -139,19 +142,19 @@ def dbscan(vectors: Sequence[Sequence[float]] | np.ndarray, cfg: DenoiseConfig) 
         component[i] = comp_id
         while stack:
             cur = stack.pop()
-            for j in np.nonzero(within[cur])[0]:
-                if is_core[j] and component[j] == -1:
+            for j, near in enumerate(within[cur]):
+                if near and is_core[j] and component[j] == -1:
                     component[j] = comp_id
-                    stack.append(int(j))
+                    stack.append(j)
         comp_id += 1
 
     # border attachment via smallest-canonical core neighbor
     for i in range(n):
         if is_core[i]:
             continue
-        core_neighbors = [int(j) for j in np.nonzero(within[i])[0] if is_core[j]]
+        core_neighbors = [j for j, near in enumerate(within[i]) if near and is_core[j]]
         if core_neighbors:
-            chosen = min(core_neighbors, key=lambda j: canon[j])
+            chosen = min(core_neighbors, key=canon.__getitem__)
             component[i] = component[chosen]
 
     members: dict[int, list[int]] = {}

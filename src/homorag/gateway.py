@@ -49,7 +49,7 @@ import time
 import urllib.error
 import zlib
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -300,8 +300,9 @@ class Gateway:
             raise GatewayError(
                 f"prompt length {len(prompt)} exceeds limit {cfg.max_prompt_chars}"
             )
-        params = params or GenerationParams()
-        payload = {"prompt": prompt, **asdict(params)}
+        # the fields in declaration order, as `asdict` gave them: the cache key
+        # hashes this payload
+        payload = {"prompt": prompt, **vars(params or GenerationParams())}
         response = self._request(cfg, "generate", payload)
         text = response.get("text")
         if text is None:

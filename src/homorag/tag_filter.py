@@ -16,11 +16,14 @@ values, so gating decisions are content-agnostic by construction.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import mul
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
@@ -36,6 +39,7 @@ FEATURE_DIM = 2 ** 18
 MODEL_FORMAT = "homorag-filter/1"
 TRAIN_PARTS, TEST_PARTS = 4, 1  # record split of a distillation set
 DISTILL_PER_TYPE = 100  # records sampled per instruction type for labelling
+TAG_MEMO_SIZE = 1024  # tags whose tag-only features are kept, least recently used dropped
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_END_RE = re.compile(r"[.!?]+(?=\s|$)")
@@ -305,14 +309,27 @@ def _conjunction_prefixes(instruction: str) -> list[int]:
     return [zlib.crc32(f"x:{word}|".encode("utf-8")) for word in words]
 
 
-def _tag_features(prefixes: Sequence[int], tag: str) -> dict[int, float]:
+@functools.lru_cache(maxsize=TAG_MEMO_SIZE)
+def _tag_part(tag: str) -> tuple[tuple[tuple[int, float], ...], bytes]:
+    """The features of the tag alone, the tag intercept and then the tag
+    words, as (key, count) pairs in first-seen order, and the normalized
+    tag's bytes that continue each conjunction prefix."""
     tag_norm = normalize_tag(tag)
-    tag_bytes = tag_norm.encode("utf-8")
     keys = [_hash_feature(f"t:{tag_norm}")]
     keys += [_hash_feature(f"tw:{word}") for word in _WORD_RE.findall(tag_norm.lower())]
-    keys += [zlib.crc32(tag_bytes, prefix) % FEATURE_DIM for prefix in prefixes]
     feats: dict[int, float] = {}
     for key in keys:
+        feats[key] = feats.get(key, 0.0) + 1.0
+    return tuple(feats.items()), tag_norm.encode("utf-8")
+
+
+def _tag_features(prefixes: Sequence[int], tag: str) -> dict[int, float]:
+    """Features in a fixed order: tag intercept, tag words, then conjunctions
+    in instruction-word order; a repeated key adds to its first place."""
+    tag_items, tag_bytes = _tag_part(tag)
+    feats = dict(tag_items)
+    for prefix in prefixes:
+        key = zlib.crc32(tag_bytes, prefix) % FEATURE_DIM
         feats[key] = feats.get(key, 0.0) + 1.0
     return feats
 
@@ -414,8 +431,9 @@ def _logits(model: FilterModel, feats: Sequence[dict[int, float]]) -> list[float
     One gather fetches every weight, so a logit is bit-identical whether its
     features are scored alone or with others.
     """
-    weights = iter(model.weights[[idx for f in feats for idx in f]].tolist())
-    return [model.bias + sum(next(weights) * val for val in f.values()) for f in feats]
+    weights = iter(model.weights.take(list(chain.from_iterable(feats))).tolist())
+    # f.values() goes first: map stops on it before it draws the next dict's weight
+    return [model.bias + sum(map(mul, f.values(), weights)) for f in feats]
 
 
 def _mean_bce(model: FilterModel, feats: list[dict[int, float]], labels: np.ndarray) -> float:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from homorag.annotations import AnnotationSnippet
+from homorag import denoise
 from homorag.config import DenoiseConfig
 from homorag.denoise import (
     AnchorSelection,
@@ -104,6 +105,20 @@ def test_single_point():
     assert as_partition(out) == ({frozenset({0})}, set())
     out2 = dbscan([(1.0, 2.0)], DenoiseConfig(eps=0.5, min_pts=2, metric="euclidean"))
     assert as_partition(out2) == (set(), {0})
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("n, min_pts", [(1, 2), (2, 3), (4, 5), (3, 10)])
+def test_fewer_points_than_min_pts_are_all_noise_without_distances(monkeypatch, metric, n,
+                                                                   min_pts):
+    def no_distances(points, metric):
+        raise AssertionError("distance matrix built below min_pts")
+
+    monkeypatch.setattr(denoise, "_distance_matrix", no_distances)
+    points = [(0.5, 0.5)] * n  # every point within eps of every other
+    out = dbscan(points, DenoiseConfig(eps=0.3, min_pts=min_pts, metric=metric))
+    assert out == ClusterSet(clusters=(), noise=tuple(range(n)), n_points=n)
+    assert as_partition(out) == ref_dbscan(points, 0.3, min_pts, metric)
 
 
 def test_duplicate_points_cluster_together():

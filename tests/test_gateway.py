@@ -117,6 +117,34 @@ def test_generate_sends_default_sampling_params_when_unset():
     assert captured["frequency_penalty"] == 0.0
 
 
+# literals written by the payload builder that used `dataclasses.asdict`; a
+# different key order or value changes the cache file name and misses every
+# response cached before
+@pytest.mark.parametrize("params, body, filename", [
+    (None,
+     [("prompt", "Answer:"), ("temperature", 0.7), ("top_p", 0.9), ("max_tokens", 2048),
+      ("presence_penalty", 0.0), ("frequency_penalty", 0.0), ("model", "default")],
+     "generator-95f22570e35d0d44ada6b36cb50c33ebf1e6118895a358b5efa4e83e82c00375.json"),
+    (GenerationParams(temperature=0.2, top_p=0.5, max_tokens=64, presence_penalty=0.25,
+                      frequency_penalty=-0.5),
+     [("prompt", "Answer:"), ("temperature", 0.2), ("top_p", 0.5), ("max_tokens", 64),
+      ("presence_penalty", 0.25), ("frequency_penalty", -0.5), ("model", "default")],
+     "generator-8001cd7ffe4a9ded92c2486fd2081e0822af874ba20d682b3341769fbd453ff8.json"),
+])
+def test_generate_payload_and_cache_file_name_are_pinned(tmp_path, params, body, filename):
+    sent = []
+
+    def transport(url, payload, timeout, headers):
+        sent.append(list(payload.items()))
+        return {"text": "ok"}
+
+    cfg = cfg_for("generator", "http://backend.test/gen")
+    Gateway(cache_dir=tmp_path, transport=transport).generate(cfg, "Answer:", params)
+    assert sent == [body]
+    assert [p.name for p in tmp_path.iterdir()] == [filename]
+    assert CacheKey.for_request(cfg, "generate", dict(body[:-1])).filename() == filename
+
+
 def test_generate_rejects_empty_and_overlong_prompts():
     gw = Gateway()
     cfg = cfg_for("generator", "mock:echo", max_prompt_chars=10)

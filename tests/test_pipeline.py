@@ -1292,6 +1292,18 @@ def test_config_refuses_values_a_request_cannot_carry(text, message):
         config_from_dict(yaml.safe_load(text))
 
 
+@pytest.mark.parametrize("text, section, cause", [
+    ("backends: {scorer: {timeout: 5}}", "backends.scorer",
+     "missing 1 required positional argument: 'endpoint'"),
+    ("denoise: {eps: '0.3'}", "denoise", "'>' not supported between instances of 'str'"),
+], ids=["backend-without-endpoint", "eps-as-string"])
+def test_config_type_errors_name_their_section(text, section, cause):
+    with pytest.raises(ConfigError, match=f"^section '{re.escape(section)}': ") as info:
+        config_from_dict(yaml.safe_load(text))
+    assert cause in str(info.value)
+    assert isinstance(info.value.__cause__, TypeError)
+
+
 def test_load_config_seed_override(tmp_path):
     config_path = tmp_path / "c.yaml"
     config_path.write_text(yaml.safe_dump({"seed": 7}), encoding="utf-8")

@@ -21,7 +21,9 @@ from homorag.tag_filter import (
     Fragment,
     PROB_FLOOR,
     ScorerError,
+    TAG_MEMO_SIZE,
     TokenProbSequence,
+    _tag_part,
     build_distillation_set,
     extract_features,
     gate,
@@ -700,7 +702,21 @@ def test_score_tags_bit_identical_to_straight_line_reference(trained_model, anno
     pairs = [(instruction, s.tag) for instruction, pool in _fixture_pools(annotation_index)
              for s in pool.snippets()]
     pairs += [("the the function of the protein", "FUNCTION"),  # repeated conjunctions
-              ("Décrire la fonction", "Fonction protéique"), ("", "PATHWAY")]
+              ("Décrire la fonction", "Fonction protéique"), ("", "PATHWAY"),
+              # tags that differ only in case or whitespace share one memo entry
+              ("the function of the protein", "function"),
+              ("the function of the protein", " FUNCTION "),
+              ("the function of the protein", "Function  protein")]
+    # a model trained on these features weighs only keys they produce; dense
+    # weights make a dropped or misplaced key change the score
+    dense = FilterModel(weights=np.random.default_rng(0).normal(size=FEATURE_DIM), bias=0.25)
     for instruction, tag in pairs:
-        assert trained_model.score_tags(instruction, [tag, tag]) == \
-            [_reference_score(trained_model, instruction, tag)] * 2
+        for model in (trained_model, dense):
+            assert model.score_tags(instruction, [tag, tag]) == \
+                [_reference_score(model, instruction, tag)] * 2
+
+
+def test_tag_memo_is_bounded(trained_model):
+    assert 0 < _tag_part.cache_info().maxsize == TAG_MEMO_SIZE < float("inf")
+    trained_model.score_tags("the function", [f"TAG {i}" for i in range(TAG_MEMO_SIZE + 10)])
+    assert _tag_part.cache_info().currsize <= TAG_MEMO_SIZE
