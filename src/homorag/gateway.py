@@ -300,8 +300,8 @@ class Gateway:
             raise GatewayError(
                 f"prompt length {len(prompt)} exceeds limit {cfg.max_prompt_chars}"
             )
-        # the fields in declaration order, as `asdict` gave them: the cache key
-        # hashes this payload
+        # the fields in declaration order: the cache key hashes this payload, so
+        # another order would miss every response cached before
         payload = {"prompt": prompt, **vars(params or GenerationParams())}
         response = self._request(cfg, "generate", payload)
         text = response.get("text")

@@ -431,7 +431,9 @@ def _logits(model: FilterModel, feats: Sequence[dict[int, float]]) -> list[float
     One gather fetches every weight, so a logit is bit-identical whether its
     features are scored alone or with others.
     """
-    weights = iter(model.weights.take(list(chain.from_iterable(feats))).tolist())
+    # an index, not `take`: `take` lets go of the GIL, and in a threaded batch
+    # the gate then waits for the other threads
+    weights = iter(model.weights[list(chain.from_iterable(feats))].tolist())
     # f.values() goes first: map stops on it before it draws the next dict's weight
     return [model.bias + sum(map(mul, f.values(), weights)) for f in feats]
 
