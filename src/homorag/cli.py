@@ -34,7 +34,7 @@ from .pipeline import (
     label_dataset,
     read_dataset,
     run_eval,
-    safe_filename,
+    write_artifact,
 )
 from .tag_filter import DISTILL_PER_TYPE, FilterModel, read_examples, train_filter, write_examples
 
@@ -251,8 +251,7 @@ def _cmd_qa(args, config) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / f"{safe_filename(artifact.record_id)}.json",
-                     artifact.canonical_json().encode())
+        write_artifact(out, artifact)
     print("=== context ===")
     print(artifact.context or "(empty)")
     print("=== answer ===")

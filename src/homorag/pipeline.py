@@ -3,12 +3,13 @@ and evaluation. The alignment tool and its hit rows belong to `homology`.
 
 Each processed record leaves a replayable trace (its hits, the pool snapshot
 after every stage that ran, the rendered context, prompt, and answer) as a
-canonical JSON artifact. Timings go to a sidecar file so artifacts stay
+canonical JSON artifact, the one file a batch writes per record. A batch
+writes its records' stage timings once, to `timings.json`, so artifacts stay
 byte-identical across reruns of the same configuration. Batch runs are
-resumable: a record is skipped when its artifact already exists with the
-current config digest and no stage error. Artifacts are written and read
-through `atomic`: the resume check runs again a record whose artifact is not
-a UTF-8 JSON object, and `run_eval` refuses it, naming the file.
+resumable: a record is skipped when its artifact already exists with its
+record id, the current config digest and no stage error. Artifacts are written
+and read through `atomic`: the resume check runs again a record whose artifact
+is not a UTF-8 JSON object, and `run_eval` refuses it, naming the file.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class RunArtifact:
     reference: Optional[str] = None
     warnings: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)         # volatile; sidecar only
+    timings: dict = field(default_factory=dict)         # volatile; batch timings.json only
 
     def to_dict(self) -> dict:
         return {
@@ -188,18 +189,45 @@ def replay_context(artifact: dict) -> str:
     return ""
 
 
-def safe_filename(record_id: str) -> str:
-    return _SAFE_ID_RE.sub("_", record_id)
+def artifact_path(directory: Path, record_id: str) -> Path:
+    """Where a record's artifact lives: `<directory>/<id>.json`, with each
+    character of the id outside `[A-Za-z0-9._-]` replaced by `_`."""
+    return directory / f"{_SAFE_ID_RE.sub('_', record_id)}.json"
 
 
-def _is_done(path: Path, digest: str) -> bool:
-    """Whether path holds a readable artifact made under the config digest
-    with no stage error, so a record that failed is run again."""
+def write_artifact(directory: Path, artifact: RunArtifact) -> None:
+    """Write the artifact's canonical JSON to its `artifact_path` under directory."""
+    write_atomic(artifact_path(directory, artifact.record_id), artifact.canonical_json().encode())
+
+
+def _is_done(directory: Path, record_id: str, digest: str) -> bool:
+    """Whether the record's artifact under directory is readable and was made
+    for this record under the config digest with no stage error, so a record
+    that failed, or whose file holds another record, is run again."""
     try:
-        existing = read_json_object(path)
+        existing = read_json_object(artifact_path(directory, record_id))
     except (OSError, ValueError):
         return False
-    return existing.get("config_digest") == digest and not existing.get("errors")
+    return (existing.get("record_id") == record_id and existing.get("config_digest") == digest
+            and not existing.get("errors"))
+
+
+def _drop_shared_names(records: list[QARecord], directory: Path,
+                       bad_lines: list) -> list[QARecord]:
+    """The records whose artifact name no earlier record took. Each later one
+    is a malformed line: its (id, reason naming the first record) goes to
+    bad_lines."""
+    owners: dict[Path, str] = {}
+    kept = []
+    for record in records:
+        path = artifact_path(directory, record.id)
+        if path in owners:
+            bad_lines.append((record.id, f"artifact {path.name} is taken by record "
+                                         f"{owners[path]!r}"))
+        else:
+            owners[path] = record.id
+            kept.append(record)
+    return kept
 
 
 def _batch_workers(config: PipelineConfig) -> int:
@@ -288,29 +316,26 @@ class Pipeline:
     def run_batch(self, dataset_path: str | Path, out_dir: str | Path) -> dict:
         out = Path(out_dir)
         artifacts_dir = out / "artifacts"
-        timings_dir = out / "timings"
         artifacts_dir.mkdir(parents=True, exist_ok=True)
-        timings_dir.mkdir(parents=True, exist_ok=True)
 
         bad_lines: list[tuple[str, str]] = []
-        records = read_dataset(dataset_path, bad_lines)
+        records = _drop_shared_names(read_dataset(dataset_path, bad_lines), artifacts_dir,
+                                     bad_lines)
         for ident, error in bad_lines:
             logger.warning("skipping malformed record %s: %s", ident, error)
-        todo = [
-            r for r in records
-            if not _is_done(artifacts_dir / f"{safe_filename(r.id)}.json", self.digest)
-        ]
+        todo = [r for r in records if not _is_done(artifacts_dir, r.id, self.digest)]
         skipped_existing = len(records) - len(todo)
+        timings: dict[str, dict] = {}
 
         def _one(record: QARecord) -> int:
             artifact = self.run_query(record)
-            name = safe_filename(record.id)
-            write_atomic(artifacts_dir / f"{name}.json", artifact.canonical_json().encode())
-            write_atomic(timings_dir / f"{name}.json", dump_json(artifact.timings).encode())
+            write_artifact(artifacts_dir, artifact)
+            timings[record.id] = artifact.timings
             return 1 if artifact.errors else 0
 
         with ThreadPoolExecutor(max_workers=_batch_workers(self.config)) as pool:
             failures = sum(pool.map(_one, todo))
+        write_atomic(out / "timings.json", dump_json(timings).encode())
 
         summary = {
             "config_digest": self.digest,

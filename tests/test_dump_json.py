@@ -44,14 +44,14 @@ def test_unserializable_value_raises_type_error(data):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_batch_writes_one_layout(index_dir, filter_model_path, tmp_path, mode):
-    """Artifacts, timing sidecars, `summary.json` and the gateway's cache entries."""
+    """Artifacts, `timings.json`, `summary.json` and the gateway's cache entries."""
     config = make_pipeline_config(index_dir, filter_model_path, tmp_path, mode=mode)
     Pipeline(config).run_batch(FIXTURES / "qa_records.jsonl", tmp_path / "run")
     artifacts = sorted((tmp_path / "run" / "artifacts").glob("*.json"))
-    timings = sorted((tmp_path / "run" / "timings").glob("*.json"))
+    timings = tmp_path / "run" / "timings.json"
     cache = sorted((tmp_path / "cache").glob("*.json"))
-    assert len(artifacts) == len(timings) == 10 and cache
-    for path in [*artifacts, *timings, *cache, tmp_path / "run" / "summary.json"]:
+    assert len(artifacts) == len(json.loads(timings.read_text(encoding="utf-8"))) == 10 and cache
+    for path in [*artifacts, timings, *cache, tmp_path / "run" / "summary.json"]:
         assert_one_layout(path)
 
 

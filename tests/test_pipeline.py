@@ -350,9 +350,10 @@ def test_stage_failure_stays_in_its_stage(index_dir_module, filter_model_module,
 
     out = tmp_path / "run"
     assert pipe.run_batch(FIXTURES / "qa_records.jsonl", out)["records_with_errors"] == failing
-    for path in (out / "timings").glob("*.json"):
-        assert set(json.loads(path.read_text(encoding="utf-8"))) == {"retrieval", *stages,
-                                                                     "generation"}
+    timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
+    assert set(timings) == set(records)
+    for stage_seconds in timings.values():
+        assert set(stage_seconds) == {"retrieval", *stages, "generation"}
 
 
 # -- batch ---------------------------------------------------------------------------
@@ -383,6 +384,74 @@ def test_batch_is_resumable(index_dir_module, filter_model_module, tmp_path):
     summary3 = pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
     assert summary3["processed"] == 3
     assert summary3["skipped_existing"] == 7
+
+
+def read_timings(out: Path) -> dict:
+    return json.loads((out / "timings.json").read_text(encoding="utf-8"))
+
+
+def test_resumed_batch_times_only_the_records_it_ran(index_dir_module, filter_model_module,
+                                                     tmp_path, records):
+    pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path))
+    out = tmp_path / "run"
+    pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
+    assert set(read_timings(out)) == set(records)
+    assert not (out / "timings").exists()
+    pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
+    assert read_timings(out) == {}
+    for name in ("case-r1", "dom-r2"):
+        (out / "artifacts" / f"{name}.json").unlink()
+    pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
+    timings = read_timings(out)
+    assert set(timings) == {"case-r1", "dom-r2"}
+    assert all(set(t) == {"retrieval", "horizontal", "vertical", "generation"}
+               for t in timings.values())
+
+
+def _dataset_with_ids(tmp_path: Path, ids) -> Path:
+    """The first fixture record's line once per id, in order."""
+    line = json.loads((FIXTURES / "qa_records.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps({**line, "id": i}) + "\n" for i in ids), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("ids, kept, skipped, reason", [
+    (["q/1", "q_1", "other"], ["q/1", "other"], "q_1",
+     "artifact q_1.json is taken by record 'q/1'"),
+    (["dup", "other", "dup"], ["dup", "other"], "dup",
+     "artifact dup.json is taken by record 'dup'"),
+], ids=["same-file-name", "repeated-id"])
+def test_batch_skips_a_record_whose_artifact_name_is_taken(
+        index_dir_module, filter_model_module, tmp_path, caplog, ids, kept, skipped, reason):
+    dataset = _dataset_with_ids(tmp_path, ids)
+    pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path))
+    out = tmp_path / "run"
+    summary = pipe.run_batch(dataset, out)
+    assert (summary["processed"], summary["skipped_malformed"]) == (2, [skipped])
+    assert summary["total_lines"] == 3
+    assert f"skipping malformed record {skipped}: {reason}" in caplog.text
+    artifacts = sorted(p.name for p in (out / "artifacts").glob("*.json"))
+    assert len(artifacts) == 2
+    assert sorted(json.loads((out / "artifacts" / name).read_text(encoding="utf-8"))["record_id"]
+                  for name in artifacts) == sorted(kept)
+    assert set(read_timings(out)) == set(kept)
+    again = pipe.run_batch(dataset, out)
+    assert (again["processed"], again["skipped_existing"], again["skipped_malformed"]) == (
+        0, 2, [skipped])
+
+
+def test_batch_reruns_an_artifact_that_holds_another_record(index_dir_module,
+                                                            filter_model_module, tmp_path):
+    pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path))
+    out = tmp_path / "run"
+    pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
+    good = (out / "artifacts" / "case-r1.json").read_bytes()
+    shutil.copy(out / "artifacts" / "cat-r2.json", out / "artifacts" / "case-r1.json")
+    summary = pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
+    assert (summary["processed"], summary["skipped_existing"]) == (1, 9)
+    assert (out / "artifacts" / "case-r1.json").read_bytes() == good
+    assert set(read_timings(out)) == {"case-r1"}
 
 
 def _with_stage_error(good: bytes) -> bytes:
@@ -471,8 +540,9 @@ def test_batch_leaves_no_temp_files(index_dir_module, filter_model_module, tmp_p
     Pipeline(config).run_batch(FIXTURES / "qa_records.jsonl", tmp_path / "run")
     names = sorted(files_under(tmp_path))  # the run directory and the backend cache
     assert len([n for n in names if n.startswith("run/artifacts/")]) == 10
-    assert len([n for n in names if n.startswith("run/timings/")]) == 10
-    assert "run/summary.json" in names and any(n.startswith("cache/") for n in names)
+    assert not any(n.startswith("run/timings/") for n in names)
+    assert "run/summary.json" in names and "run/timings.json" in names
+    assert any(n.startswith("cache/") for n in names)
     assert all(n.endswith(".json") and not n.rpartition("/")[2].startswith(".") for n in names)
 
 
