@@ -14,7 +14,6 @@ is not a UTF-8 JSON object, and `run_eval` refuses it, naming the file.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import re
@@ -23,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import __version__
@@ -406,9 +404,10 @@ def label_dataset(
 ):
     """Wire retrieval and the teacher scorer into distillation-set labeling.
 
-    Each distinct scorer request is sent once per record: the
-    without-document leg depends only on (query context, fragment), so every
-    snippet of a record shares it.
+    Each distinct scorer request is sent, and its confidence computed, once
+    per record: the without-document leg depends only on (query context,
+    fragment), so every snippet of a record shares it. A record with a
+    blank answer labels nothing and is logged.
     """
     handle = gateway.scorer_handle(config.scorer)
 
@@ -418,11 +417,14 @@ def label_dataset(
         snippets = assemble_raw_pool(selected, index, config.retrieval.resolve_go).snippets()
         if not snippets:  # nothing to label, so a blank answer is never split
             return []
-        scorer = SimpleNamespace(score_tokens=functools.cache(handle.score_tokens))
+        if not record.answer.strip():
+            logger.warning("labelling no snippet of record %s: its answer is blank", record.id)
+            return []
         query_context = make_query_context(record.instruction, record.sequence)
         fragments = split_fragments(record.answer)
-        return [(s.tag, segment_ig(scorer, query_context, snippet_document(s.tag, s.value),
-                                   fragments, config.ig))
+        confidences: dict[tuple[str, str], float] = {}  # this record's, by scorer request
+        return [(s.tag, segment_ig(handle, query_context, snippet_document(s.tag, s.value),
+                                   fragments, config.ig, confidences))
                 for s in snippets]
 
     return build_distillation_set(

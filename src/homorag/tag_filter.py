@@ -40,6 +40,7 @@ MODEL_FORMAT = "homorag-filter/1"
 TRAIN_PARTS, TEST_PARTS = 4, 1  # record split of a distillation set
 DISTILL_PER_TYPE = 100  # records sampled per instruction type for labelling
 TAG_MEMO_SIZE = 1024  # tags whose tag-only features are kept, least recently used dropped
+WINDOW_MEMO_SIZE = 256  # (length, half-width) pairs whose smoothing windows are kept
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_END_RE = re.compile(r"[.!?]+(?=\s|$)")
@@ -73,6 +74,13 @@ class TokenProbSequence:
         return len(self.tokens)
 
 
+@functools.lru_cache(maxsize=WINDOW_MEMO_SIZE)
+def _windows(n: int, half: int) -> tuple[tuple[int, int, int], ...]:
+    """(start, stop, width) of each of n tokens' windows, truncated at the ends."""
+    bounds = ((max(0, i - half), min(n, i + half + 1)) for i in range(n))
+    return tuple((lo, hi, hi - lo) for lo, hi in bounds)
+
+
 def smooth_probs(seq: TokenProbSequence, window: int) -> TokenProbSequence:
     """Mean-filter probabilities over a centered window of odd width.
 
@@ -84,13 +92,11 @@ def smooth_probs(seq: TokenProbSequence, window: int) -> TokenProbSequence:
     n = len(seq)
     if n == 0:
         return seq
-    half = window // 2
     probs = seq.probs
-    smoothed = tuple(
-        sum(probs[max(0, i - half): min(n, i + half + 1)])
-        / (min(n, i + half + 1) - max(0, i - half))
-        for i in range(n)
-    )
+    # each window is summed afresh with sum() over its own slice, never as a
+    # running sum, math.fsum or numpy: from Python 3.12 sum() of floats is
+    # compensated, so only this same call gives each interpreter's own bits
+    smoothed = tuple(sum(probs[lo:hi]) / width for lo, hi, width in _windows(n, window // 2))
     return TokenProbSequence(tokens=seq.tokens, probs=smoothed)
 
 
@@ -101,16 +107,17 @@ def weighted_confidence(smoothed: TokenProbSequence, cfg: IgConfig) -> float:
     to the sequence length, probabilities floored at PROB_FLOOR, and the
     product taken in log space. The empty sequence scores 1.0.
     """
-    n = len(smoothed)
-    if n == 0:
+    probs = smoothed.probs
+    if not probs:
         return 1.0
-    k = min(cfg.head_k, n)
+    k = min(cfg.head_k, len(probs))
     head_exp = cfg.omega * cfg.alpha
     tail_exp = 1.0 - cfg.alpha
-    log_sum = 0.0
-    for i, p in enumerate(smoothed.probs):
-        p = max(p, PROB_FLOOR)
-        log_sum += (head_exp if i < k else tail_exp) * math.log(p)
+    log_sum = 0.0  # added to in token order, head first
+    for p in probs[:k]:
+        log_sum += head_exp * math.log(p if p > PROB_FLOOR else PROB_FLOOR)
+    for p in probs[k:]:
+        log_sum += tail_exp * math.log(p if p > PROB_FLOOR else PROB_FLOOR)
     return math.exp(log_sum)
 
 
@@ -123,24 +130,45 @@ def make_query_context(instruction: str, sequence: str) -> str:
     return f"Instruction: {instruction}\nSequence: {sequence}"
 
 
+def _confidence(
+    scorer: TokenScorer,
+    prompt: str,
+    target_text: str,
+    cfg: IgConfig,
+    leg: str,
+    confidences: dict[tuple[str, str], float],
+) -> float:
+    """Confidence in the target under the prompt, from `confidences` when the
+    request is there, else scored, computed and put there."""
+    key = (prompt, target_text)
+    if key not in confidences:
+        try:
+            scored = scorer.score_tokens(prompt, target_text)
+        except Exception as exc:
+            raise ScorerError(f"scorer failed on {leg} leg: {exc}") from exc
+        confidences[key] = weighted_confidence(smooth_probs(scored, cfg.window), cfg)
+    return confidences[key]
+
+
 def information_gain(
     scorer: TokenScorer,
     query_context: str,
     document: str,
     target_text: str,
     cfg: IgConfig,
+    confidences: Optional[dict[tuple[str, str], float]] = None,
 ) -> float:
-    """Confidence in the target with the document minus without it; in [-1, 1]."""
-    try:
-        with_doc = scorer.score_tokens(_with_document(query_context, document), target_text)
-    except Exception as exc:
-        raise ScorerError(f"scorer failed on with-document leg: {exc}") from exc
-    try:
-        without_doc = scorer.score_tokens(query_context, target_text)
-    except Exception as exc:
-        raise ScorerError(f"scorer failed on without-document leg: {exc}") from exc
-    conf_with = weighted_confidence(smooth_probs(with_doc, cfg.window), cfg)
-    conf_without = weighted_confidence(smooth_probs(without_doc, cfg.window), cfg)
+    """Confidence in the target with the document minus without it; in [-1, 1].
+
+    `confidences` maps each scorer request (prompt, target) to its confidence
+    under cfg. Callers that share one dict across calls with the same cfg
+    send each distinct request, and compute its confidence, once.
+    """
+    confidences = {} if confidences is None else confidences
+    conf_with = _confidence(scorer, _with_document(query_context, document), target_text,
+                            cfg, "with-document", confidences)
+    conf_without = _confidence(scorer, query_context, target_text,
+                               cfg, "without-document", confidences)
     return conf_with - conf_without
 
 
@@ -188,12 +216,14 @@ def segment_ig(
     document: str,
     fragments: Sequence[Fragment],
     cfg: IgConfig,
+    confidences: Optional[dict[tuple[str, str], float]] = None,
 ) -> float:
-    """Maximum information gain the document provides to any single fragment."""
+    """Maximum information gain the document provides to any single fragment;
+    `confidences` is passed on to `information_gain`."""
     if not fragments:
         raise ValueError("segment_ig requires at least one fragment")
     return max(
-        information_gain(scorer, query_context, document, frag.text, cfg)
+        information_gain(scorer, query_context, document, frag.text, cfg, confidences)
         for frag in fragments
     )
 

@@ -57,9 +57,11 @@ from homorag.pipeline import (
     replay_context,
     run_eval,
 )
+from homorag import tag_filter as tag_filter_module
 from homorag.tag_filter import (
     DistillationExample,
     FilterModel,
+    ScorerError,
     build_distillation_set,
     make_query_context,
     read_examples,
@@ -778,6 +780,73 @@ def test_label_dataset_reads_no_answer_of_a_record_without_snippets(index_dir_mo
                      instruction_type="function", answer="  ")
     index = AnnotationIndex.load(index_dir_module)
     assert label_dataset(PipelineConfig(), [blank], index, {}, Gateway()) == ([], [])
+
+
+def _request_echo_gateway(fail_when=lambda prompt: False):
+    """Gateway whose scorer answers each request with the tokens (prompt, target)."""
+    def transport(url, payload, timeout, headers):
+        if fail_when(payload["prompt"]):
+            raise OSError("scorer down")
+        return {"tokens": [payload["prompt"], payload["target"]], "probs": [0.5, 0.25]}
+
+    return Gateway(transport=transport)
+
+
+def test_label_dataset_computes_each_confidence_once_per_record(index_dir_module, monkeypatch):
+    config = replace(PipelineConfig(), scorer=BackendConfig(
+        role="scorer", endpoint="http://scorer.test/score", max_retries=0))
+    index = AnnotationIndex.load(index_dir_module)
+    hits_by_query = load_hits(FIXTURES / "hits_fixture.tsv")
+    computed = []  # the (prompt, target) of each confidence computed
+    original = tag_filter_module.weighted_confidence
+    monkeypatch.setattr(tag_filter_module, "weighted_confidence",
+                        lambda smoothed, cfg: computed.append(smoothed.tokens)
+                        or original(smoothed, cfg))
+
+    shared = 0  # records where several snippets share each of several fragments
+    for record in read_dataset(FIXTURES / "label_records.jsonl"):
+        computed.clear()
+        label_dataset(config, [record], index, hits_by_query, _request_echo_gateway())
+        selected = rank_and_select(hits_by_query.get(record.id, []), config.retrieval,
+                                   query_length=len(record.sequence))
+        documents = [snippet_document(s.tag, s.value) for s in
+                     assemble_raw_pool(selected, index, config.retrieval.resolve_go).snippets()]
+        context = make_query_context(record.instruction, record.sequence)
+        fragments = [f.text for f in split_fragments(record.answer)] if documents else []
+        # once per (record, fragment) without the document, once per (snippet, fragment)
+        # with it, and snippets that render the same document share it
+        assert sorted(computed) == sorted(
+            [(context, f) for f in fragments]
+            + [(f"{context}\nEvidence: {d}", f) for d in set(documents) for f in fragments])
+        shared += len(set(documents)) > 1 and len(fragments) > 1
+    assert shared
+
+
+def test_label_dataset_names_a_failed_without_document_leg(index_dir_module):
+    config = replace(PipelineConfig(), scorer=BackendConfig(
+        role="scorer", endpoint="http://scorer.test/score", max_retries=0))
+    records = read_dataset(FIXTURES / "label_records.jsonl")
+    gateway = _request_echo_gateway(fail_when=lambda prompt: "\nEvidence: " not in prompt)
+    with pytest.raises(ScorerError, match="scorer failed on without-document leg"):
+        label_dataset(config, records, AnnotationIndex.load(index_dir_module),
+                      load_hits(FIXTURES / "hits_fixture.tsv"), gateway)
+
+
+def test_label_dataset_skips_a_record_with_a_blank_answer(index_dir_module, caplog):
+    records = read_dataset(FIXTURES / "label_records.jsonl")
+    blank = [replace(r, answer="   ") if r.id == "lab-c1" else r for r in records]
+    index = AnnotationIndex.load(index_dir_module)
+    hits_by_query = load_hits(FIXTURES / "hits_fixture.tsv")
+    with caplog.at_level("WARNING", logger="homorag.pipeline"):
+        train, test = label_dataset(PipelineConfig(), blank, index, hits_by_query, Gateway())
+    full_train, full_test = label_dataset(PipelineConfig(), records, index, hits_by_query,
+                                          Gateway())
+    # the record stays in the sampling, so every other record keeps its labels and split
+    c1 = next(r for r in records if r.id == "lab-c1")
+    others = lambda examples: [ex for ex in examples if ex.instruction != c1.instruction]
+    assert (train, test) == (others(full_train), others(full_test))
+    assert len(train) + len(test) < len(full_train) + len(full_test)  # lab-c1 had snippets
+    assert "lab-c1" in caplog.text and "blank" in caplog.text
 
 
 # -- blast invocation ----------------------------------------------------------------------

@@ -215,6 +215,64 @@ def test_ig_bounded(pw, po, window, head_k, omega, alpha):
     assert -1.0 <= value <= 1.0
 
 
+# -- the confidence kernel against the straight-line version it replaced --------------------
+
+def straight_line_smooth_probs(seq: TokenProbSequence, window: int) -> TokenProbSequence:
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be an odd integer >= 1, got {window}")
+    n = len(seq)
+    if n == 0:
+        return seq
+    half = window // 2
+    probs = seq.probs
+    smoothed = tuple(
+        sum(probs[max(0, i - half): min(n, i + half + 1)])
+        / (min(n, i + half + 1) - max(0, i - half))
+        for i in range(n)
+    )
+    return TokenProbSequence(tokens=seq.tokens, probs=smoothed)
+
+
+def straight_line_weighted_confidence(smoothed: TokenProbSequence, cfg: IgConfig) -> float:
+    n = len(smoothed)
+    if n == 0:
+        return 1.0
+    k = min(cfg.head_k, n)
+    head_exp = cfg.omega * cfg.alpha
+    tail_exp = 1.0 - cfg.alpha
+    log_sum = 0.0
+    for i, p in enumerate(smoothed.probs):
+        p = max(p, PROB_FLOOR)
+        log_sum += (head_exp if i < k else tail_exp) * math.log(p)
+    return math.exp(log_sum)
+
+
+_EDGE_PROBS = (0.0, -0.0, 1.0, PROB_FLOOR, math.nextafter(PROB_FLOOR, 0.0),
+               math.nextafter(PROB_FLOOR, 1.0), 5e-10, 2e-9)
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from(_EDGE_PROBS)),
+             max_size=64),
+    st.integers(min_value=0, max_value=4),
+    st.data(),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_confidence_kernel_is_bit_identical_to_straight_line_version(probs, half, data,
+                                                                    omega, alpha):
+    head_k = data.draw(st.integers(min_value=0, max_value=len(probs) + 3), label="head_k")
+    cfg = IgConfig(window=2 * half + 1, head_k=head_k, omega=omega, alpha=alpha)
+    smoothed = smooth_probs(seq(probs), cfg.window)
+    expected = straight_line_smooth_probs(seq(probs), cfg.window)
+    assert smoothed.tokens == expected.tokens
+    assert [p.hex() for p in smoothed.probs] == [p.hex() for p in expected.probs]
+    confidence = weighted_confidence(smoothed, cfg)
+    assert confidence == straight_line_weighted_confidence(expected, cfg)
+    assert confidence.hex() == straight_line_weighted_confidence(expected, cfg).hex()
+
+
 # -- fragments -----------------------------------------------------------------------------
 
 def test_split_two_sentences():
