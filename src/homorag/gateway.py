@@ -23,15 +23,20 @@ layout. HTTPS certificates are checked against Python's default trust store
 (the system CAs, or SSL_CERT_FILE / SSL_CERT_DIR); REQUESTS_CA_BUNDLE and
 ~/.netrc are not read. Redirects are not followed: a 3xx answer is a failed
 request, tried once, so the API key never reaches another host. A response
-body that is not a UTF-8 JSON object is a failed request naming the role and
-endpoint, and is retried like any other fault.
+body that is not a UTF-8 JSON object, or an answer that does not have its
+role's shape, is a failed request naming the role and endpoint, and is
+retried like any other fault. The shapes: a scorer answer holds a list of
+string tokens and a list of as many numbers in [0, 1]; an embedder answer
+one vector of finite numbers per text, all of one size; a generator answer
+a string text.
 
 Responses are cached on disk keyed by a digest of the role, endpoint, model
-and canonicalized request; a cache file that is not a UTF-8 JSON object is a
-miss and is rewritten. A failed request is retried up to max_retries times
-with jittered exponential backoff, unless its HTTP status says a retry cannot
-help (a 3xx, or a 4xx other than 408 and 429). At most max_in_flight requests
-run concurrently per backend.
+and canonicalized request, and only once they have their role's shape; a
+cache file that is not a UTF-8 JSON object, or whose answer does not have
+that shape, is a miss and is rewritten. A failed request is retried up to
+max_retries times with jittered exponential backoff, unless its HTTP status
+says a retry cannot help (a 3xx, or a 4xx other than 408 and 429). At most
+max_in_flight requests run concurrently per backend.
 Embedding vectors are also memoised in memory per (endpoint, model, text), so
 an embed request carries only the texts the gateway has not embedded yet.
 """
@@ -41,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -51,7 +57,7 @@ import zlib
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .atomic import dump_json, loads_json_object, read_json_object, write_atomic
 from .config import BackendConfig, ENV_API_KEY_VAR, GenerationParams
@@ -67,6 +73,12 @@ DEFAULT_MOCK_DIM = 32
 EMBED_MEMO_TEXTS = 4096  # embedding vectors a gateway keeps, oldest dropped first
 ECHO_PREFIX = "Based on the retrieved evidence, the protein is characterized as follows:"
 ECHO_EMPTY = "No supporting evidence was retrieved; no sequence-grounded answer is available."
+
+T = TypeVar("T")
+# element types go through map(type, ...) against these sets: every scorer
+# answer is checked, and teacher labelling makes ~3 scorer calls per example
+_NUMBER_TYPES = frozenset((int, float))  # what JSON numbers decode to; bool is not one
+_STRING_TYPE = frozenset((str,))
 
 
 class GatewayError(RuntimeError):
@@ -128,6 +140,46 @@ def _http_post_json(url: str, payload: dict, timeout: float, headers: dict) -> d
     except urllib.error.HTTPError as exc:
         exc.close()  # an error response holds the socket open until closed
         raise
+
+
+def _check_numbers(values, what: str) -> list:
+    """values, checked: anything but a list of JSON numbers raises ValueError."""
+    if type(values) is not list or not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise ValueError(f"{what} is not a list of numbers")
+    return values
+
+
+def _token_probs(response: dict) -> TokenProbSequence:
+    """The scorer answer's tokens and probabilities; a malformed one raises ValueError."""
+    tokens = response.get("tokens")
+    if type(tokens) is not list or not _STRING_TYPE.issuperset(map(type, tokens)):
+        raise ValueError(f"scorer tokens are not a list of strings: {response}")
+    probs = _check_numbers(response.get("probs"), "scorer probs")
+    return TokenProbSequence(tokens=tuple(tokens), probs=tuple(map(float, probs)))
+
+
+def _vectors(response: dict, n_texts: int) -> list[array]:
+    """The embedder answer's vectors for n_texts texts; a malformed one raises ValueError."""
+    vectors = response.get("embeddings")
+    if not isinstance(vectors, list) or len(vectors) != n_texts:
+        raise ValueError(
+            f"embedder returned {len(vectors) if isinstance(vectors, list) else None} "
+            f"vectors for {n_texts} texts"
+        )
+    rows = [array("d", _check_numbers(vec, "an embedding")) for vec in vectors]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("embeddings differ in size")
+    if not all(all(map(math.isfinite, row)) for row in rows):
+        raise ValueError("an embedding holds a non-finite number")
+    return rows
+
+
+def _text(response: dict) -> str:
+    """The generator answer's text; a malformed one raises ValueError."""
+    text = response.get("text")
+    if not isinstance(text, str):
+        raise ValueError(f"generator response missing text: {response}")
+    return text
 
 
 def _parse_mock_endpoint(endpoint: str) -> tuple[str, dict]:
@@ -207,29 +259,39 @@ class Gateway:
             headers["Authorization"] = f"Bearer {api_key}"
         return headers
 
-    def _request(self, cfg: BackendConfig, kind: str, payload: dict) -> dict:
+    def _request(self, cfg: BackendConfig, kind: str, payload: dict,
+                 parse: Callable[[dict], T]) -> T:
+        """`parse` of the answer to the request, which raises ValueError on an
+        answer without its role's shape: a cached one is a miss, a backend's a
+        failed request. Only an answer that parses is cached."""
         path = None
         if self.cache_dir is not None:
             path = self.cache_dir / CacheKey.for_request(cfg, kind, payload).filename()
             cached = self._cache_read(path)
             if cached is not None:
-                return cached
+                try:
+                    return parse(cached)
+                except ValueError:
+                    pass
         if cfg.endpoint.startswith("mock:"):
             response = self._mock_response(cfg, kind, payload)
+            value = parse(response)
         else:
-            response = self._http_request(cfg, payload)
+            response, value = self._http_request(cfg, payload, parse)
         if path is not None:
             self._cache_write(path, response)
-        return response
+        return value
 
-    def _http_request(self, cfg: BackendConfig, payload: dict) -> dict:
+    def _http_request(self, cfg: BackendConfig, payload: dict,
+                      parse: Callable[[dict], T]) -> tuple[dict, T]:
         sem = self._semaphore(cfg)
         body = dict(payload)
         body["model"] = cfg.model
         for attempt in itertools.count(1):
             try:
                 with sem:
-                    return self.transport(cfg.endpoint, body, cfg.timeout, self._headers())
+                    response = self.transport(cfg.endpoint, body, cfg.timeout, self._headers())
+                return response, parse(response)
             except Exception as exc:  # noqa: BLE001 - a transport may raise anything
                 if attempt > cfg.max_retries or not _is_transient(exc):
                     raise GatewayError(
@@ -280,12 +342,7 @@ class Gateway:
 
     def score_tokens(self, cfg: BackendConfig, prompt: str, target: str) -> TokenProbSequence:
         """Per-token probabilities of the target continuation under the prompt."""
-        response = self._request(cfg, "score", {"prompt": prompt, "target": target})
-        tokens = response.get("tokens")
-        probs = response.get("probs")
-        if tokens is None or probs is None:
-            raise GatewayError(f"scorer response missing tokens/probs: {response}")
-        return TokenProbSequence(tokens=tuple(tokens), probs=tuple(float(p) for p in probs))
+        return self._request(cfg, "score", {"prompt": prompt, "target": target}, _token_probs)
 
     def generate(
         self,
@@ -303,11 +360,7 @@ class Gateway:
         # the fields in declaration order: the cache key hashes this payload, so
         # another order would miss every response cached before
         payload = {"prompt": prompt, **vars(params or GenerationParams())}
-        response = self._request(cfg, "generate", payload)
-        text = response.get("text")
-        if text is None:
-            raise GatewayError(f"generator response missing text: {response}")
-        return text
+        return self._request(cfg, "generate", payload, _text)
 
     def embed(self, cfg: BackendConfig, texts: Sequence[str]) -> list[list[float]]:
         """Embed a batch of texts; order and duplicates are preserved.
@@ -324,14 +377,9 @@ class Gateway:
             known = {t: memo[key] for t in texts if (key := (cfg.endpoint, cfg.model, t)) in memo}
         missing = list(dict.fromkeys(t for t in texts if t not in known))
         if missing:
-            response = self._request(cfg, "embed", {"input": missing})
-            vectors = response.get("embeddings")
-            if vectors is None or len(vectors) != len(missing):
-                raise GatewayError(
-                    f"embedder returned {None if vectors is None else len(vectors)} vectors "
-                    f"for {len(missing)} texts"
-                )
-            fresh = {t: array("d", [float(v) for v in vec]) for t, vec in zip(missing, vectors)}
+            vectors = self._request(cfg, "embed", {"input": missing},
+                                    lambda response: _vectors(response, len(missing)))
+            fresh = dict(zip(missing, vectors))
             with self._lock:
                 for t, vec in fresh.items():
                     if len(memo) >= EMBED_MEMO_TEXTS:

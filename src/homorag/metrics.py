@@ -125,9 +125,6 @@ class EntityLexicon:
             lengths.setdefault(key[0], set()).add(len(key))
         self._spans = {token: sorted(s, reverse=True) for token, s in lengths.items()}
 
-    def __len__(self) -> int:
-        return len(self._forms)
-
     def forms(self) -> list[str]:
         return sorted(self._forms.values())
 
@@ -186,15 +183,6 @@ class RecordScores:
     e_bleu4: float
     ref_entities_empty: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "bleu4": self.bleu4,
-            "rouge_l": self.rouge_l,
-            "e_bleu2": self.e_bleu2,
-            "e_bleu4": self.e_bleu4,
-            "ref_entities_empty": self.ref_entities_empty,
-        }
-
 
 def score_record(candidate: str, reference: str, lexicon: EntityLexicon) -> RecordScores:
     """All metrics of one record from a single tokenization and entity scan
@@ -222,18 +210,18 @@ class MetricRow:
         return {name: round(self.means[name] * 100.0, 1) for name in METRIC_NAMES}
 
 
-def aggregate(records: Sequence[dict], grouping: str = "task") -> list[MetricRow]:
-    """Mean per metric per group. Entity-empty references are excluded from
+def aggregate(records: Sequence[dict]) -> list[MetricRow]:
+    """Mean per metric per task. Entity-empty references are excluded from
     the entity-level means (and counted); sums use math.fsum so results do
     not depend on record order."""
     if not records:
         raise ValueError("no records to aggregate")
     groups: dict[str, list[dict]] = {}
     for rec in records:
-        groups.setdefault(rec[grouping], []).append(rec)
+        groups.setdefault(rec["task"], []).append(rec)
     rows = []
-    for group in sorted(groups):
-        recs = groups[group]
+    for task in sorted(groups):
+        recs = groups[task]
         scores = [r["scores"] for r in recs]
         entity_ok = [s for s in scores if not s.ref_entities_empty]
         means = {
@@ -248,7 +236,7 @@ def aggregate(records: Sequence[dict], grouping: str = "task") -> list[MetricRow
         }
         rows.append(
             MetricRow(
-                task=group,
+                task=task,
                 n_records=len(recs),
                 n_entity_empty=len(scores) - len(entity_ok),
                 means=means,

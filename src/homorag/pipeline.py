@@ -383,7 +383,7 @@ def run_eval(
             f"no scorable artifacts under {artifact_dir} "
             f"({missing_reference} lacked references)"
         )
-    table = aggregate(rows, grouping="task")
+    table = aggregate(rows)
     if out_prefix is not None:
         out_prefix = Path(out_prefix)
         out_prefix.parent.mkdir(parents=True, exist_ok=True)

@@ -22,8 +22,6 @@ import math
 import re
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import mul
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
@@ -385,18 +383,20 @@ def _sigmoid(z: float) -> float:
 class FilterModel:
     """Logistic scorer over hashed (instruction, tag) features.
 
-    Zero-initialized weights score 0.5 everywhere; training is plain
-    mini-batch gradient descent on the binary cross-entropy. Serialization
-    stores only non-zero weights and round-trips to an identical scorer.
+    `weights` maps a feature index in [0, FEATURE_DIM) to its weight; an
+    index it lacks weighs 0.0, so a new model scores 0.5 everywhere. Training
+    is plain mini-batch gradient descent on the binary cross-entropy.
+    Serialization stores only non-zero weights and round-trips to an
+    identical scorer.
     """
 
     def __init__(
         self,
-        weights: Optional[np.ndarray] = None,
+        weights: Optional[dict[int, float]] = None,
         bias: float = 0.0,
         metadata: Optional[dict] = None,
     ):
-        self.weights = weights if weights is not None else np.zeros(FEATURE_DIM)
+        self.weights = weights if weights is not None else {}
         self.bias = bias
         self.metadata = metadata or {}
 
@@ -410,12 +410,11 @@ class FilterModel:
         return [_sigmoid(z) for z in _logits(self, [_tag_features(prefixes, t) for t in tags])]
 
     def save(self, path: str | Path):
-        nz = np.nonzero(self.weights)[0]
         payload = {
             "format": MODEL_FORMAT,
             "feature_dim": FEATURE_DIM,
             "bias": self.bias,
-            "weights": {str(int(i)): float(self.weights[i]) for i in nz},
+            "weights": {str(i): w for i, w in self.weights.items() if w != 0.0},
             "metadata": self.metadata,
         }
         write_atomic(Path(path), dump_json(payload).encode())
@@ -444,31 +443,24 @@ class FilterModel:
             raise fault(f"model bias {bias!r} is not a number")
         if not isinstance(stored, dict) or not isinstance(metadata, dict):
             raise fault("model weights and metadata must be JSON objects")
-        weights = np.zeros(FEATURE_DIM)
+        weights = {}
         for key, value in stored.items():
             index = int(key) if key.isascii() and key.isdigit() else FEATURE_DIM
             if index >= FEATURE_DIM:
                 raise fault(f"weight key {key!r} is not an integer in [0, {FEATURE_DIM})")
             if type(value) not in (int, float):
                 raise fault(f"weight {key} is {value!r}, not a number")
-            weights[index] = value
+            weights[index] = float(value)
         return cls(weights=weights, bias=bias, metadata=metadata)
 
 
 def _logits(model: FilterModel, feats: Sequence[dict[int, float]]) -> list[float]:
-    """Bias plus weighted features of each feature dict, added in feature order.
-
-    One gather fetches every weight, so a logit is bit-identical whether its
-    features are scored alone or with others.
-    """
-    # an index, not `take`: `take` lets go of the GIL, and in a threaded batch
-    # the gate then waits for the other threads
-    weights = iter(model.weights[list(chain.from_iterable(feats))].tolist())
-    # f.values() goes first: map stops on it before it draws the next dict's weight
-    return [model.bias + sum(map(mul, f.values(), weights)) for f in feats]
+    """Bias plus weighted features of each feature dict, added in feature order."""
+    weights = model.weights
+    return [model.bias + sum(v * weights.get(k, 0.0) for k, v in f.items()) for f in feats]
 
 
-def _mean_bce(model: FilterModel, feats: list[dict[int, float]], labels: np.ndarray) -> float:
+def _mean_bce(model: FilterModel, feats: list[dict[int, float]], labels: list[float]) -> float:
     eps = 1e-12
     total = 0.0
     for z, y in zip(_logits(model, feats), labels):
@@ -494,8 +486,8 @@ def train_filter(
     """
     if not examples:
         raise ValueError("no training examples")
-    labels = np.array([ex.label for ex in examples], dtype=float)
-    if len(set(labels.tolist())) < 2:
+    labels = [float(ex.label) for ex in examples]
+    if len(set(labels)) < 2:
         raise ValueError("training set contains a single class; cannot fit")
 
     feats = [extract_features(ex.instruction, ex.tag) for ex in examples]
@@ -507,24 +499,24 @@ def train_filter(
         "n_train": len(examples),
         "encoder_recipe": dict(ENCODER_RECIPE),
     })
+    weights = model.weights
     rng = np.random.default_rng(seed)
     losses = [_mean_bce(model, feats, labels)]
     n = len(examples)
     for _ in range(epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(n).tolist()
         for start in range(0, n, batch_size):
             batch = order[start: start + batch_size]
             grad: dict[int, float] = {}
             grad_bias = 0.0
             scale = 1.0 / len(batch)
-            # the weights change only after the batch, so one gather serves it all
             for j, z in zip(batch, _logits(model, [feats[j] for j in batch])):
                 err = (_sigmoid(z) - labels[j]) * scale
                 grad_bias += err
                 for idx, val in feats[j].items():
                     grad[idx] = grad.get(idx, 0.0) + err * val
             for idx, g in grad.items():
-                model.weights[idx] -= learning_rate * g
+                weights[idx] = weights.get(idx, 0.0) - learning_rate * g
             model.bias -= learning_rate * grad_bias
         losses.append(_mean_bce(model, feats, labels))
     model.metadata["train_loss_per_epoch"] = losses

@@ -15,6 +15,7 @@ from homorag.gateway import (
     GatewayError,
     mock_hash_embedding,
 )
+from homorag.tag_filter import TokenProbSequence
 
 
 def cfg_for(role, endpoint, **kw):
@@ -448,6 +449,47 @@ def test_malformed_response_surfaces():
     cfg = cfg_for("generator", "http://backend.test/gen", max_retries=0)
     with pytest.raises(GatewayError, match="missing text"):
         gw.generate(cfg, "prompt")
+
+
+@pytest.mark.parametrize("role, call, bad, good, value", [
+    ("scorer", lambda gw, cfg: gw.score_tokens(cfg, "p", "a b"),
+     {"tokens": ["a", "b"], "probs": [0.5]}, {"tokens": ["a", "b"], "probs": [0.5, 1]},
+     TokenProbSequence(tokens=("a", "b"), probs=(0.5, 1.0))),
+    ("embedder", lambda gw, cfg: gw.embed(cfg, ["alpha"]),
+     {"embeddings": [[float("nan"), 1.0]]}, {"embeddings": [[0.0, 1.0]]}, [[0.0, 1.0]]),
+    ("embedder", lambda gw, cfg: gw.embed(cfg, ["alpha"]),
+     {"embeddings": [["0.0", 1.0]]}, {"embeddings": [[0.0, 1.0]]}, [[0.0, 1.0]]),
+    ("generator", lambda gw, cfg: gw.generate(cfg, "prompt"),
+     {"text": 42}, {"text": "fine"}, "fine"),
+    ("embedder", lambda gw, cfg: gw.embed(cfg, ["alpha", "beta"]),
+     {"embeddings": [[1.0], [0.0, 1.0]]}, {"embeddings": [[1.0, 0.0], [0.0, 1.0]]},
+     [[1.0, 0.0], [0.0, 1.0]]),
+], ids=["scorer-probs-short", "embedder-nan", "embedder-not-numbers", "generator-text-int",
+        "embedder-sizes"])
+def test_malformed_answer_is_retried_and_never_cached(tmp_path, role, call, bad, good, value):
+    answers = [bad, bad]
+    calls = []
+
+    def transport(url, payload, timeout, headers):
+        calls.append(payload)
+        return answers[len(calls) - 1] if len(calls) <= len(answers) else good
+
+    cfg = cfg_for(role, f"http://backend.test/{role}", max_retries=1)
+    gw = Gateway(cache_dir=tmp_path, transport=transport)
+    gw.retry_backoff = 0.0
+    with pytest.raises(GatewayError, match=f"^{role} request to http://backend.test/{role} "
+                                           "failed after 2 attempts: ") as err:
+        call(gw, cfg)
+    assert err.value.attempts == 2 and len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+    # the backend is fixed: the same gateway kept nothing of the malformed answer
+    assert call(gw, cfg) == value and len(calls) == 3
+    (path,) = tmp_path.glob("*.json")
+    good_bytes = path.read_bytes()
+    # a malformed answer already in the cache is a miss and is rewritten
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    assert call(Gateway(cache_dir=tmp_path, transport=transport), cfg) == value
+    assert len(calls) == 4 and path.read_bytes() == good_bytes
 
 
 # -- concurrency bound --------------------------------------------------------------

@@ -471,7 +471,7 @@ def test_training_is_deterministic():
     m1 = train_filter(examples, epochs=2, seed=4)
     m2 = train_filter(examples, epochs=2, seed=4)
     assert m1.bias == m2.bias
-    assert (m1.weights == m2.weights).all()
+    assert m1.weights == m2.weights
 
 
 def test_metadata_records_recipe():
@@ -530,7 +530,10 @@ def test_training_bit_identical_to_straight_line_reference(epochs, learning_rate
     model = train_filter(examples, epochs=epochs, learning_rate=learning_rate,
                          batch_size=batch_size, seed=seed)
     weights, bias, losses = _reference_train(examples, epochs, learning_rate, batch_size, seed)
-    assert model.weights.tobytes() == weights.tobytes()
+    # every index the model holds and every non-zero reference weight, bit for bit
+    keys = model.weights.keys() | set(np.flatnonzero(weights).tolist())
+    assert {i: model.weights.get(i, 0.0).hex() for i in keys} == \
+        {i: float(weights[i]).hex() for i in keys}
     assert float(model.bias).hex() == float(bias).hex()
     assert model.metadata["train_loss_per_epoch"] == losses
 
@@ -631,12 +634,25 @@ def test_load_refuses_a_malformed_model_naming_the_file(tmp_path, trained_model,
 
 
 def test_load_reads_every_stored_weight(tmp_path):
-    weights = np.zeros(FEATURE_DIM)
-    weights[[0, 7, FEATURE_DIM - 1]] = [0.25, -1.5, 2.0]
+    weights = {0: 0.25, 7: -1.5, FEATURE_DIM - 1: 2.0}
     path = tmp_path / "model.json"
     FilterModel(weights=weights, bias=-0.5).save(path)
     loaded = FilterModel.load(path)
-    assert np.array_equal(loaded.weights, weights) and loaded.bias == -0.5
+    assert {i: w.hex() for i, w in loaded.weights.items()} == \
+        {i: w.hex() for i, w in weights.items()} and loaded.bias == -0.5
+
+
+def test_model_memory_is_that_of_its_weights(filter_model_path):
+    import tracemalloc
+
+    for make in (lambda: FilterModel.load(filter_model_path), FilterModel):
+        tracemalloc.start()
+        try:
+            make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 # -- gate --------------------------------------------------------------------------------------------
@@ -752,7 +768,7 @@ def _reference_score(model, instruction, tag):
     for key in keys:
         idx = zlib.crc32(key.encode("utf-8")) % FEATURE_DIM
         feats[idx] = feats.get(idx, 0.0) + 1.0
-    z = model.bias + sum(model.weights[idx] * val for idx, val in feats.items())
+    z = model.bias + sum(model.weights.get(idx, 0.0) * val for idx, val in feats.items())
     return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
 
 
@@ -767,7 +783,8 @@ def test_score_tags_bit_identical_to_straight_line_reference(trained_model, anno
               ("the function of the protein", "Function  protein")]
     # a model trained on these features weighs only keys they produce; dense
     # weights make a dropped or misplaced key change the score
-    dense = FilterModel(weights=np.random.default_rng(0).normal(size=FEATURE_DIM), bias=0.25)
+    dense = FilterModel(weights=dict(enumerate(np.random.default_rng(0).normal(size=FEATURE_DIM)
+                                               .tolist())), bias=0.25)
     for instruction, tag in pairs:
         for model in (trained_model, dense):
             assert model.score_tags(instruction, [tag, tag]) == \
