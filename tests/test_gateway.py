@@ -146,6 +146,22 @@ def test_generate_payload_and_cache_file_name_are_pinned(tmp_path, params, body,
     assert CacheKey.for_request(cfg, "generate", dict(body[:-1])).filename() == filename
 
 
+# the other two roles' file names, computed before the cache key lost its
+# class; a changed name misses every response cached before
+@pytest.mark.parametrize("role, endpoint, call, answer, filename", [
+    ("scorer", "http://backend.test/score",
+     lambda gw, cfg: gw.score_tokens(cfg, "p", "t"), {"tokens": ["t"], "probs": [0.5]},
+     "scorer-70d6634b744f8183c56947a3d90e7b5b28427020be30d91c7561f372d6049344.json"),
+    ("embedder", "http://backend.test/embed",
+     lambda gw, cfg: gw.embed(cfg, ["alpha", "beta"]), {"embeddings": [[1.0], [0.0]]},
+     "embedder-10a5855a17686758d07eff613681ab5688b0b3dcdf767836be163c5b3f9231e9.json"),
+], ids=["scorer", "embedder"])
+def test_score_and_embed_cache_file_names_are_pinned(tmp_path, role, endpoint, call, answer,
+                                                     filename):
+    call(Gateway(cache_dir=tmp_path, transport=lambda *a: answer), cfg_for(role, endpoint))
+    assert [p.name for p in tmp_path.iterdir()] == [filename]
+
+
 def test_generate_rejects_empty_and_overlong_prompts():
     gw = Gateway()
     cfg = cfg_for("generator", "mock:echo", max_prompt_chars=10)
