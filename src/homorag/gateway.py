@@ -87,28 +87,16 @@ class GatewayError(RuntimeError):
         self.attempts = attempts
 
 
-@dataclass(frozen=True)
-class CacheKey:
-    role: str
-    model: str
-    digest: str
-
-    @classmethod
-    def for_request(cls, cfg: BackendConfig, kind: str, payload: dict) -> "CacheKey":
-        blob = json.dumps(
-            {"role": cfg.role, "endpoint": cfg.endpoint, "model": cfg.model, "kind": kind,
-             "payload": payload},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return cls(
-            role=cfg.role,
-            model=cfg.model,
-            digest=hashlib.sha256(blob.encode("utf-8")).hexdigest(),
-        )
-
-    def filename(self) -> str:
-        return f"{self.role}-{self.digest}.json"
+def _cache_name(cfg: BackendConfig, kind: str, payload: dict) -> str:
+    """The cache file name of a request: its role and a digest of the role,
+    endpoint, model, kind and payload."""
+    blob = json.dumps(
+        {"role": cfg.role, "endpoint": cfg.endpoint, "model": cfg.model, "kind": kind,
+         "payload": payload},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return f"{cfg.role}-{hashlib.sha256(blob.encode('utf-8')).hexdigest()}.json"
 
 
 def _is_transient(exc: Exception) -> bool:
@@ -229,19 +217,6 @@ class Gateway:
         self._embeddings: dict[tuple[str, str, str], array] = {}
         self._lock = threading.Lock()
 
-    # -- caching -----------------------------------------------------------
-
-    def _cache_read(self, path: Path) -> Optional[dict]:
-        """The cached response, or None when the file is missing or not a UTF-8 JSON object."""
-        try:
-            return read_json_object(path)
-        except (FileNotFoundError, ValueError):
-            return None
-
-    def _cache_write(self, path: Path, response: dict):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, dump_json(response).encode())
-
     # -- transport ---------------------------------------------------------
 
     def _semaphore(self, cfg: BackendConfig) -> threading.BoundedSemaphore:
@@ -266,20 +241,19 @@ class Gateway:
         failed request. Only an answer that parses is cached."""
         path = None
         if self.cache_dir is not None:
-            path = self.cache_dir / CacheKey.for_request(cfg, kind, payload).filename()
-            cached = self._cache_read(path)
-            if cached is not None:
-                try:
-                    return parse(cached)
-                except ValueError:
-                    pass
+            path = self.cache_dir / _cache_name(cfg, kind, payload)
+            try:
+                return parse(read_json_object(path))
+            except (FileNotFoundError, ValueError):
+                pass  # missing, not a UTF-8 JSON object, or without the role's shape
         if cfg.endpoint.startswith("mock:"):
             response = self._mock_response(cfg, kind, payload)
             value = parse(response)
         else:
             response, value = self._http_request(cfg, payload, parse)
         if path is not None:
-            self._cache_write(path, response)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_atomic(path, dump_json(response).encode())
         return value
 
     def _http_request(self, cfg: BackendConfig, payload: dict,

@@ -164,7 +164,7 @@ def json_dumps_calls(source: str) -> list[tuple[str, int, bool]]:
 JSON_DUMPS_SITES = {
     ("atomic.py", "dump_json"),
     ("config.py", "PipelineConfig.digest"),
-    ("gateway.py", "CacheKey.for_request"),
+    ("gateway.py", "_cache_name"),
     ("tag_filter.py", "write_examples"),
     ("metrics.py", "rows_to_jsonl"),
     ("cli.py", "_cmd_qa"),

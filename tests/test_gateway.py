@@ -10,9 +10,9 @@ import pytest
 from homorag.config import BackendConfig, GenerationParams
 from homorag.gateway import (
     ECHO_EMPTY,
-    CacheKey,
     Gateway,
     GatewayError,
+    _cache_name,
     mock_hash_embedding,
 )
 from homorag.tag_filter import TokenProbSequence
@@ -143,7 +143,7 @@ def test_generate_payload_and_cache_file_name_are_pinned(tmp_path, params, body,
     Gateway(cache_dir=tmp_path, transport=transport).generate(cfg, "Answer:", params)
     assert sent == [body]
     assert [p.name for p in tmp_path.iterdir()] == [filename]
-    assert CacheKey.for_request(cfg, "generate", dict(body[:-1])).filename() == filename
+    assert _cache_name(cfg, "generate", dict(body[:-1])) == filename
 
 
 # the other two roles' file names, computed before the cache key lost its
@@ -270,11 +270,11 @@ def test_unknown_mock_rejected():
 
 def test_cache_key_stability():
     cfg = cfg_for("scorer", "mock:uniform(0.5)")
-    a = CacheKey.for_request(cfg, "score", {"prompt": "p", "target": "t"})
-    b = CacheKey.for_request(cfg, "score", {"prompt": "p", "target": "t"})
-    c = CacheKey.for_request(cfg, "score", {"prompt": "p2", "target": "t"})
-    d = CacheKey.for_request(cfg_for("scorer", "mock:uniform(0.9)"), "score",
-                             {"prompt": "p", "target": "t"})
+    a = _cache_name(cfg, "score", {"prompt": "p", "target": "t"})
+    b = _cache_name(cfg, "score", {"prompt": "p", "target": "t"})
+    c = _cache_name(cfg, "score", {"prompt": "p2", "target": "t"})
+    d = _cache_name(cfg_for("scorer", "mock:uniform(0.9)"), "score",
+                    {"prompt": "p", "target": "t"})
     assert a == b
     assert a != c
     assert a != d  # same role, model and request; only the endpoint differs
@@ -361,7 +361,7 @@ def test_no_cache_dir_builds_no_cache_key(tmp_path, monkeypatch):
         return {"text": "fresh"}
 
     with monkeypatch.context() as patch:
-        patch.setattr(CacheKey, "for_request", refuse)
+        patch.setattr("homorag.gateway._cache_name", refuse)
         assert Gateway(transport=transport).generate(cfg, "prompt") == "fresh"
         assert Gateway().embed(cfg_for("embedder", "mock:hash(dim=8)"), ["alpha"])
     # with a cache directory the key is built, the answer written and then read
