@@ -32,11 +32,12 @@ a string text.
 
 Responses are cached on disk keyed by a digest of the role, endpoint, model
 and canonicalized request, and only once they have their role's shape; a
-cache file that is not a UTF-8 JSON object, or whose answer does not have
-that shape, is a miss and is rewritten. A failed request is retried up to
-max_retries times with jittered exponential backoff, unless its HTTP status
-says a retry cannot help (a 3xx, or a 4xx other than 408 and 429). At most
-max_in_flight requests run concurrently per backend.
+cache file that cannot be read, is not a UTF-8 JSON object, or whose answer
+does not have that shape, is a miss and is rewritten. A failed cache write
+is logged with its path, and the answer is still returned. A failed request
+is retried up to max_retries times with jittered exponential backoff, unless
+its HTTP status says a retry cannot help (a 3xx, or a 4xx other than 408 and
+429). At most max_in_flight requests run concurrently per backend.
 Embedding vectors are also memoised in memory per (endpoint, model, text), so
 an embed request carries only the texts the gateway has not embedded yet.
 """
@@ -46,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import logging
 import math
 import os
 import random
@@ -62,6 +64,8 @@ from typing import Callable, Optional, Sequence, TypeVar
 from .atomic import dump_json, loads_json_object, read_json_object, write_atomic
 from .config import BackendConfig, ENV_API_KEY_VAR, GenerationParams
 from .tag_filter import TokenProbSequence
+
+logger = logging.getLogger(__name__)
 
 _MOCK_RE = re.compile(r"^mock:([a-z][a-z0-9\-]*)(?:\((.*)\))?$")
 _MOCK_WORD_RE = re.compile(r"[a-z0-9]+")
@@ -238,22 +242,27 @@ class Gateway:
                  parse: Callable[[dict], T]) -> T:
         """`parse` of the answer to the request, which raises ValueError on an
         answer without its role's shape: a cached one is a miss, a backend's a
-        failed request. Only an answer that parses is cached."""
+        failed request. Only an answer that parses is cached. The cache is best
+        effort: a file that cannot be read is a miss, and one that cannot be
+        written is logged, never a failed request."""
         path = None
         if self.cache_dir is not None:
             path = self.cache_dir / _cache_name(cfg, kind, payload)
             try:
                 return parse(read_json_object(path))
-            except (FileNotFoundError, ValueError):
-                pass  # missing, not a UTF-8 JSON object, or without the role's shape
+            except (OSError, ValueError):
+                pass  # unreadable, not a UTF-8 JSON object, or without the role's shape
         if cfg.endpoint.startswith("mock:"):
             response = self._mock_response(cfg, kind, payload)
             value = parse(response)
         else:
             response, value = self._http_request(cfg, payload, parse)
         if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_atomic(path, dump_json(response).encode())
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write_atomic(path, dump_json(response).encode())
+            except OSError as exc:
+                logger.warning("could not cache the %s answer at %s: %s", cfg.role, path, exc)
         return value
 
     def _http_request(self, cfg: BackendConfig, payload: dict,

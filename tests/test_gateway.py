@@ -349,6 +349,53 @@ def test_corrupt_cache_file_is_a_miss_and_rewritten(tmp_path, corrupt):
     assert path.read_bytes() == good
 
 
+def test_failed_cache_write_keeps_the_answer(tmp_path, monkeypatch, caplog):
+    import homorag.gateway as gateway
+
+    def full_disk(path, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(gateway, "write_atomic", full_disk)
+    calls = []
+
+    def transport(url, payload, timeout, headers):
+        calls.append(url)
+        if url.endswith("/gen"):
+            return {"text": "paid"}
+        return {"embeddings": [[1.0, 0.0]] * len(payload["input"])}
+
+    gw = Gateway(cache_dir=tmp_path, transport=transport)
+    with caplog.at_level("WARNING", logger="homorag.gateway"):
+        assert gw.generate(cfg_for("generator", "http://backend.test/gen"), "prompt") == "paid"
+        embedder = cfg_for("embedder", "http://backend.test/embed")
+        assert gw.embed(embedder, ["alpha"]) == [[1.0, 0.0]]
+        assert gw.embed(embedder, ["alpha"]) == [[1.0, 0.0]]  # memoised, not sent again
+    assert calls == ["http://backend.test/gen", "http://backend.test/embed"]
+    assert list(tmp_path.iterdir()) == []
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == 2
+    assert all(str(tmp_path) in w and "No space left on device" in w for w in warnings)
+
+
+def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog):
+    cfg = cfg_for("generator", "http://backend.test/gen", max_retries=0)
+    Gateway(cache_dir=tmp_path, transport=lambda *a: {"text": "first"}).generate(cfg, "prompt")
+    (path,) = tmp_path.glob("*.json")
+    path.unlink()
+    path.mkdir()  # a directory at the file's path: opening it raises an OSError
+    calls = []
+
+    def transport(url, payload, timeout, headers):
+        calls.append(url)
+        return {"text": "fresh"}
+
+    with caplog.at_level("WARNING", logger="homorag.gateway"):
+        assert Gateway(cache_dir=tmp_path, transport=transport).generate(cfg, "prompt") == "fresh"
+    assert calls == ["http://backend.test/gen"]
+    assert path.is_dir()
+    assert [str(path) in r.getMessage() for r in caplog.records] == [True]  # the failed write
+
+
 def test_no_cache_dir_builds_no_cache_key(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("cache key built")
