@@ -240,10 +240,10 @@ def _cmd_qa(args, config) -> int:
         summary = pipeline.run_batch(args.dataset, args.out)
         print(json.dumps(
             {k: summary[k] for k in ("processed", "skipped_existing", "skipped_malformed",
-                                     "records_with_errors")},
+                                     "records_with_errors", "unwritten") if k in summary},
             sort_keys=True,
         ))
-        return 0
+        return 1 if "unwritten" in summary else 0
     records = {r.id: r for r in read_dataset(args.dataset)}
     if args.id not in records:
         raise LookupError(f"record id {args.id!r} not found in {args.dataset}")

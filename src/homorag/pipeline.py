@@ -324,11 +324,17 @@ class Pipeline:
         todo = [r for r in records if not _is_done(artifacts_dir, r.id, self.digest)]
         skipped_existing = len(records) - len(todo)
         timings: dict[str, dict] = {}
+        unwritten: list[str] = []
 
         def _one(record: QARecord) -> int:
             artifact = self.run_query(record)
-            write_artifact(artifacts_dir, artifact)
             timings[record.id] = artifact.timings
+            try:
+                write_artifact(artifacts_dir, artifact)
+            except OSError as exc:  # this record's failure, not the batch's
+                logger.error("could not write the artifact of record %s: %s", record.id, exc)
+                unwritten.append(record.id)
+                return 1
             return 1 if artifact.errors else 0
 
         with ThreadPoolExecutor(max_workers=_batch_workers(self.config)) as pool:
@@ -346,6 +352,8 @@ class Pipeline:
             "skipped_malformed": sorted(ident for ident, _ in bad_lines),
             "records_with_errors": failures,
         }
+        if unwritten:  # only then, so a fault-free summary keeps its bytes
+            summary["unwritten"] = sorted(unwritten)
         write_atomic(out / "summary.json", dump_json(summary).encode())
         return summary
 

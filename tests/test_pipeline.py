@@ -639,6 +639,50 @@ def test_batch_summary_counts_match_directory_census(index_dir_module, filter_mo
     assert summary["processed"] + summary["skipped_existing"] == census
 
 
+def _fail_the_write_of(monkeypatch, record_id):
+    import homorag.pipeline as pipeline_module
+
+    real = pipeline_module.write_artifact
+
+    def write(directory, artifact):
+        if artifact.record_id == record_id:
+            raise OSError(28, "No space left on device")
+        real(directory, artifact)
+
+    monkeypatch.setattr(pipeline_module, "write_artifact", write)
+
+
+def test_failed_artifact_write_loses_only_its_record(index_dir_module, filter_model_module,
+                                                     tmp_path, records, monkeypatch, caplog):
+    _fail_the_write_of(monkeypatch, "cat-r2")
+    pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path))
+    out = tmp_path / "run"
+    summary = pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
+    assert sorted(p.stem for p in (out / "artifacts").glob("*.json")) == sorted(
+        set(records) - {"cat-r2"})
+    assert (summary["processed"], summary["records_with_errors"], summary["unwritten"]) == (
+        10, 1, ["cat-r2"])
+    assert json.loads((out / "summary.json").read_text(encoding="utf-8")) == summary
+    assert set(read_timings(out)) == set(records)
+    assert "could not write the artifact of record cat-r2: [Errno 28]" in caplog.text
+    monkeypatch.undo()
+    again = pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
+    assert (again["processed"], again["skipped_existing"]) == (1, 9)
+    assert "unwritten" not in again
+
+
+def test_cli_batch_exits_non_zero_when_a_record_is_not_written(
+        index_dir_module, filter_model_module, tmp_path, monkeypatch, capsys):
+    _fail_the_write_of(monkeypatch, "dom-r2")
+    config = write_cli_config(tmp_path / "c.yaml", index_dir_module, filter_model_module,
+                              tmp_path / "cache")
+    rc = cli.main(["--config", str(config), "qa", "batch",
+                   "--dataset", str(FIXTURES / "qa_records.jsonl"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["records_with_errors"], summary["unwritten"]) == (1, ["dom-r2"])
+
+
 # -- eval -------------------------------------------------------------------------------
 
 def test_run_eval_over_batch(index_dir_module, filter_model_module, tmp_path):
