@@ -315,7 +315,8 @@ def assemble_raw_pool(
 
 def read_fasta_first(path: str) -> tuple[str, str]:
     """Return (id, sequence) of the first FASTA record in the file; a line
-    that is not UTF-8 raises ValueError naming `path:line`."""
+    that is not UTF-8, or a record without residues, raises ValueError naming
+    the file."""
     header = None
     chunks: list[str] = []
     for _, line in read_lines(path):
@@ -328,6 +329,8 @@ def read_fasta_first(path: str) -> tuple[str, str]:
             chunks.append(line)
     if header is None:
         raise ValueError(f"no FASTA record found in {path}")
+    if not chunks:
+        raise ValueError(f"{path}: query {header} has no residues")
     return header, "".join(chunks)
 
 

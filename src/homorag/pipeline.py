@@ -73,6 +73,8 @@ class QARecord:
     def __post_init__(self):
         if not self.instruction.strip():
             raise ValueError(f"record {self.id!r}: instruction is empty")
+        if not self.sequence:
+            raise ValueError(f"record {self.id!r}: sequence is empty")
         check_residues(self.sequence, f"record {self.id!r}")
 
     @classmethod

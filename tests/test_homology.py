@@ -444,3 +444,11 @@ def test_read_fasta_first(tmp_path):
     path = tmp_path / "q.fasta"
     path.write_text(">seq1 description\nMKVT\nVVSG\n>seq2\nAAAA\n", encoding="utf-8")
     assert read_fasta_first(path) == ("seq1", "MKVTVVSG")
+
+
+def test_read_fasta_first_refuses_a_record_without_residues(tmp_path):
+    path = tmp_path / "q.fasta"
+    path.write_text(">seq1 description\n>seq2\nAAAA\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_fasta_first(path)
+    assert str(info.value) == f"{path}: query seq1 has no residues"

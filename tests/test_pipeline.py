@@ -124,6 +124,40 @@ def test_record_validation():
                  task="t", instruction_type="i")
     with pytest.raises(ValueError, match="instruction is empty"):
         QARecord(id="x", instruction="  ", sequence="ACDE", task="t", instruction_type="i")
+    with pytest.raises(ValueError, match="^record 'x': sequence is empty$"):
+        QARecord(id="x", instruction="valid", sequence="", task="t", instruction_type="i")
+
+
+def _dataset_with_an_empty_sequence(tmp_path: Path) -> Path:
+    """The first two fixture records, the second one's sequence emptied and its id `empty`."""
+    first, second = (FIXTURES / "qa_records.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+    path = tmp_path / "data.jsonl"
+    path.write_text(first + "\n" + json.dumps({**json.loads(second), "id": "empty",
+                                                "sequence": ""}) + "\n", encoding="utf-8")
+    return path
+
+
+def test_strict_dataset_reads_name_the_line_with_an_empty_sequence(index_dir_module, tmp_path,
+                                                                   capsys):
+    dataset = _dataset_with_an_empty_sequence(tmp_path)
+    message = f"{dataset}:2: record 'empty': sequence is empty"
+    with pytest.raises(DatasetError) as info:
+        read_dataset(dataset)
+    assert str(info.value) == message
+    rc = cli.main(["--offline", "filter", "label", "--dataset", str(dataset),
+                   "--index", str(index_dir_module), "--hits", str(FIXTURES / "hits_fixture.tsv"),
+                   "--out", str(tmp_path / "labels")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_batch_skips_a_record_with_an_empty_sequence(index_dir_module, filter_model_module,
+                                                     tmp_path):
+    pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path))
+    summary = pipe.run_batch(_dataset_with_an_empty_sequence(tmp_path), tmp_path / "run")
+    assert (summary["processed"], summary["skipped_malformed"]) == (1, ["empty"])
+    assert summary["records_with_errors"] == 0
+    assert [p.stem for p in (tmp_path / "run" / "artifacts").glob("*.json")] == ["case-r1"]
 
 
 def test_read_dataset_strict_raises(tmp_path):
@@ -1081,6 +1115,14 @@ def write_bad_hits(tmp_path):
     path.write_text("".join(rows[:8]) + "case-r1\tQ55C17\n" + "".join(rows[9:]),
                     encoding="utf-8")
     return path
+
+
+def test_cli_retrieve_refuses_a_query_without_residues(tmp_path, capsys):
+    query = tmp_path / "header.fasta"
+    query.write_text(">case-r1 no residues\n\n", encoding="utf-8")
+    rc = cli.main(["retrieve", "--query", str(query), "--hits", str(FIXTURES / "hits_fixture.tsv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {query}: query case-r1 has no residues\n"
 
 
 def test_cli_retrieve_names_bad_hits_file_and_row(tmp_path, capsys):
