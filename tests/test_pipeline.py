@@ -56,6 +56,7 @@ from homorag.pipeline import (
     read_dataset,
     replay_context,
     run_eval,
+    write_artifact,
 )
 from homorag import tag_filter as tag_filter_module
 from homorag.tag_filter import (
@@ -674,16 +675,12 @@ def test_batch_summary_counts_match_directory_census(index_dir_module, filter_mo
 
 
 def _fail_the_write_of(monkeypatch, record_id):
-    import homorag.pipeline as pipeline_module
-
-    real = pipeline_module.write_artifact
-
     def write(directory, artifact):
         if artifact.record_id == record_id:
             raise OSError(28, "No space left on device")
-        real(directory, artifact)
+        write_artifact(directory, artifact)
 
-    monkeypatch.setattr(pipeline_module, "write_artifact", write)
+    monkeypatch.setattr("homorag.pipeline.write_artifact", write)
 
 
 def test_failed_artifact_write_loses_only_its_record(index_dir_module, filter_model_module,
