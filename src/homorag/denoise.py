@@ -89,17 +89,38 @@ def _distance_matrix(points: np.ndarray, metric: str) -> np.ndarray:
         return np.sqrt((diff * diff).sum(axis=-1))
     if metric == "cosine":
         norms = np.linalg.norm(points, axis=1)
-        safe = np.where(norms > 0, norms, 1.0)
-        unit = points / safe[:, None]
-        sim = unit @ unit.T
-        dist = 1.0 - np.clip(sim, -1.0, 1.0)
-        # zero vectors carry no direction: maximally distant from everything
         zero = norms == 0
-        dist[zero, :] = 1.0
-        dist[:, zero] = 1.0
+        masked = zero.any()
+        if masked:
+            norms = np.where(norms > 0, norms, 1.0)
+        unit = points / norms[:, None]
+        sim = unit @ unit.T
+        # clip to [-1, 1] and take 1 - sim in place, same bits as np.clip
+        np.minimum(sim, 1.0, out=sim)
+        np.maximum(sim, -1.0, out=sim)
+        dist = np.subtract(1.0, sim, out=sim)
+        if masked:  # zero vectors carry no direction: maximally distant from everything
+            dist[zero, :] = 1.0
+            dist[:, zero] = 1.0
         np.fill_diagonal(dist, 0.0)
         return dist
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def _all_noise(n: int) -> ClusterSet:
+    """The partition of fewer than min_pts points: no point has min_pts
+    neighbours, itself included, so none is core and all are noise."""
+    return ClusterSet(clusters=(), noise=tuple(range(n)), n_points=n)
+
+
+def _canonical_rank(points: np.ndarray) -> list[int]:
+    """Each point's position under lexicographic vector ordering."""
+    # the list sort stops at the first coordinate that differs, unlike np.lexsort
+    coords = points.tolist()
+    canon = [0] * len(coords)
+    for pos, i in enumerate(sorted(range(len(coords)), key=coords.__getitem__)):
+        canon[i] = pos
+    return canon
 
 
 def dbscan(vectors: Sequence[Sequence[float]] | np.ndarray, cfg: DenoiseConfig) -> ClusterSet:
@@ -117,20 +138,18 @@ def dbscan(vectors: Sequence[Sequence[float]] | np.ndarray, cfg: DenoiseConfig) 
     if points.ndim != 2:
         raise ValueError("vectors must share one dimension")
     n = len(points)
-    if n < cfg.min_pts:  # no point has min_pts neighbours, itself included
-        return ClusterSet(clusters=(), noise=tuple(range(n)), n_points=n)
+    if n < cfg.min_pts:
+        return _all_noise(n)
 
     # Python lists: at the few points a pool holds, per-row numpy calls cost
     # more than the loops they would replace
     within = (_distance_matrix(points, cfg.metric) <= cfg.eps).tolist()
     is_core = [sum(row) >= cfg.min_pts for row in within]
 
-    # canonical rank: position under lexicographic vector ordering
-    coords = points.tolist()
-    order = sorted(range(n), key=coords.__getitem__)
-    canon = [0] * n
-    for pos, i in enumerate(order):
-        canon[i] = pos
+    # the canonical rank is computed only where it is read: border attachment
+    # (never at min_pts <= 2, where a point with a neighbour is core) and the
+    # order of two or more clusters
+    canon: Optional[list[int]] = None
 
     # connected components over core points
     component = [-1] * n
@@ -154,6 +173,8 @@ def dbscan(vectors: Sequence[Sequence[float]] | np.ndarray, cfg: DenoiseConfig) 
             continue
         core_neighbors = [j for j, near in enumerate(within[i]) if near and is_core[j]]
         if core_neighbors:
+            if canon is None:
+                canon = _canonical_rank(points)
             chosen = min(core_neighbors, key=canon.__getitem__)
             component[i] = component[chosen]
 
@@ -165,7 +186,11 @@ def dbscan(vectors: Sequence[Sequence[float]] | np.ndarray, cfg: DenoiseConfig) 
         else:
             members.setdefault(component[i], []).append(i)
 
-    ordered = sorted(members.values(), key=lambda ms: min(canon[i] for i in ms))
+    ordered = list(members.values())
+    if len(ordered) > 1:
+        if canon is None:
+            canon = _canonical_rank(points)
+        ordered.sort(key=lambda ms: min(canon[i] for i in ms))
     clusters = tuple(
         SemanticCluster(id=cid, members=tuple(sorted(ms))) for cid, ms in enumerate(ordered)
     )
@@ -271,11 +296,17 @@ def vertical_filter(
     keep the anchor homologs' clusters.
 
     Returns the vertical pool and the anchor selection's warnings. A pool
-    without snippets is passed on empty without an embedding request.
+    without snippets is passed on empty without an embedding request. A pool
+    of fewer than `cfg.min_pts` snippets cannot form a cluster, so it is
+    taken as all noise without an embedding request either; its anchor
+    selection passes it through, as `dbscan`'s answer would.
     """
     flat = pool.snippets()
     if not flat:
         return assemble_context(pool, [])[0], ()
-    vectors = embed_values(embedder, [s.value for s in flat])
-    selection = select_anchor_clusters(dbscan(vectors, cfg), pool, cfg.anchor_top_m)
+    if len(flat) < cfg.min_pts:
+        clusters = _all_noise(len(flat))
+    else:
+        clusters = dbscan(embed_values(embedder, [s.value for s in flat]), cfg)
+    selection = select_anchor_clusters(clusters, pool, cfg.anchor_top_m)
     return assemble_context(pool, selection.indices)[0], selection.warnings

@@ -20,6 +20,7 @@ from homorag.denoise import (
     embed_values,
     render_context,
     select_anchor_clusters,
+    vertical_filter,
 )
 from homorag.gateway import mock_hash_embedding
 from homorag.homology import EvidencePool, HomologHit, PoolHomolog, Stage
@@ -192,6 +193,128 @@ def test_cluster_ids_are_canonical():
     assert out.clusters[0].members == (2, 3)
     assert out.clusters[0].id == 0
     assert out.clusters[1].members == (0, 1)
+
+
+# -- same bits as the eager implementation ---------------------------------------------
+
+def eager_distance_matrix(points, metric):
+    """Straight-line copy of the distance matrix before its in-place trim."""
+    if metric == "euclidean":
+        diff = points[:, None, :] - points[None, :, :]
+        return np.sqrt((diff * diff).sum(axis=-1))
+    norms = np.linalg.norm(points, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    unit = points / safe[:, None]
+    sim = unit @ unit.T
+    dist = 1.0 - np.clip(sim, -1.0, 1.0)
+    zero = norms == 0
+    dist[zero, :] = 1.0
+    dist[:, zero] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def eager_dbscan(vectors, cfg):
+    """Straight-line copy of `dbscan` with the canonical rank always computed,
+    returned with its neighbourhood matrix (empty below min_pts)."""
+    points = np.asarray(vectors, dtype=float)
+    n = len(points)
+    if n < cfg.min_pts:
+        return ClusterSet(clusters=(), noise=tuple(range(n)), n_points=n), []
+    within = (eager_distance_matrix(points, cfg.metric) <= cfg.eps).tolist()
+    is_core = [sum(row) >= cfg.min_pts for row in within]
+    coords = points.tolist()
+    order = sorted(range(n), key=coords.__getitem__)
+    canon = [0] * n
+    for pos, i in enumerate(order):
+        canon[i] = pos
+    component = [-1] * n
+    comp_id = 0
+    for i in range(n):
+        if not is_core[i] or component[i] != -1:
+            continue
+        stack = [i]
+        component[i] = comp_id
+        while stack:
+            cur = stack.pop()
+            for j, near in enumerate(within[cur]):
+                if near and is_core[j] and component[j] == -1:
+                    component[j] = comp_id
+                    stack.append(j)
+        comp_id += 1
+    for i in range(n):
+        if is_core[i]:
+            continue
+        core_neighbors = [j for j, near in enumerate(within[i]) if near and is_core[j]]
+        if core_neighbors:
+            chosen = min(core_neighbors, key=canon.__getitem__)
+            component[i] = component[chosen]
+    members = {}
+    noise = []
+    for i in range(n):
+        if component[i] == -1:
+            noise.append(i)
+        else:
+            members.setdefault(component[i], []).append(i)
+    ordered = sorted(members.values(), key=lambda ms: min(canon[i] for i in ms))
+    clusters = tuple(
+        SemanticCluster(id=cid, members=tuple(sorted(ms))) for cid, ms in enumerate(ordered)
+    )
+    return ClusterSet(clusters=clusters, noise=tuple(sorted(noise)), n_points=n), within
+
+
+def bridged_clusters(rng, dim):
+    """Two clusters one step apart with a non-core point between them: at
+    eps 0.35 and min_pts 4 it touches a core of each, in both metrics."""
+    steps = np.array([-1, -1, -1, 0, 1, 2, 3, 3, 3], dtype=float)
+    points = np.zeros((len(steps), dim))
+    if rng.random() < 0.5:  # euclidean steps of 0.3
+        points[:, 0] = 0.3 * steps
+    else:  # cosine steps of 0.8 rad: 1 - cos(0.8) = 0.30
+        points[:, 0], points[:, 1] = np.cos(0.8 * steps), np.sin(0.8 * steps)
+    return points[rng.permutation(len(steps))]
+
+
+def test_distance_matrix_and_dbscan_keep_the_eager_bits():
+    rng = np.random.default_rng(2201)
+    seen = {"zero": 0, "border": 0, "contested": 0, "several": 0}
+    for trial in range(600):
+        n = int(rng.integers(1, 12))
+        dim = int(rng.choice([2, 3, 32]))
+        # coarse coordinates give ties, exact duplicates and +-1 similarities
+        points = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        if rng.random() < 0.5:
+            points = points * rng.random()
+        else:
+            points[rng.random(n) < 0.3] = rng.normal(size=dim)
+        for i in range(n):
+            if rng.random() < 0.15:
+                points[i] = 0.0
+            elif i and rng.random() < 0.3:  # a duplicate, or its opposite
+                points[i] = points[int(rng.integers(0, i))] * rng.choice([1.0, -1.0])
+        if trial % 5 == 0:
+            points = bridged_clusters(rng, dim)
+        seen["zero"] += bool((np.linalg.norm(points, axis=1) == 0).any())
+        for metric in ("cosine", "euclidean"):
+            assert denoise._distance_matrix(points.copy(), metric).tobytes() == \
+                eager_distance_matrix(points.copy(), metric).tobytes(), (trial, metric)
+            for eps in (0.05, 0.35, 1.5):
+                # a border point can touch cores of two clusters only from min_pts 4
+                for min_pts in (1, 2, 3, 4):
+                    cfg = DenoiseConfig(eps=eps, min_pts=min_pts, metric=metric)
+                    want, within = eager_dbscan(points, cfg)
+                    assert dbscan(points, cfg) == want, (trial, metric, eps, min_pts)
+                    seen["several"] += len(want.clusters) > 1
+                    labels = want.label_of()
+                    core = [sum(row) >= min_pts for row in within]
+                    for i, row in enumerate(within):
+                        if core[i] or labels[i] is None:
+                            continue
+                        seen["border"] += 1
+                        seen["contested"] += len(
+                            {labels[j] for j, near in enumerate(row) if near and core[j]}) > 1
+    # the inputs reach every branch the lazy rank and the zero-vector mask guard
+    assert min(seen.values()) > 20, seen
 
 
 def test_cluster_set_validation():
@@ -386,3 +509,52 @@ def test_vertical_multiset_is_subset():
 def test_render_context_covers_all_stages():
     pool = pool_of([["a"]], stage=Stage.RAW)
     assert render_context(pool) == "Homolog 1 (P00001): [FUNCTION]: a"
+
+
+# -- the vertical stage ----------------------------------------------------------------
+
+class CountingProvider:
+    """Counts embedding requests; each one raises when `fail` is set."""
+
+    def __init__(self, fail=False):
+        self.calls = 0
+        self.fail = fail
+
+    def embed(self, texts):
+        self.calls += 1
+        if self.fail:
+            raise RuntimeError("embedder down")
+        return [mock_hash_embedding(t, 32) for t in texts]
+
+
+@pytest.mark.parametrize("values_by_rank, min_pts", [
+    ([["only"]], 2),
+    ([[], ["only"]], 2),
+    ([["a"], ["b"]], 3),
+    ([["a", "a"]], 3),
+], ids=["one-snippet", "one-snippet-second-rank", "two-below-3", "duplicates-below-3"])
+def test_vertical_filter_below_min_pts_sends_no_embedding_request(values_by_rank, min_pts):
+    pool = pool_of(values_by_rank)
+    cfg = DenoiseConfig(min_pts=min_pts)
+    failing = CountingProvider(fail=True)
+    got = vertical_filter(pool, failing, cfg)
+    assert failing.calls == 0
+    # what clustering the working embedder's vectors gives: an all-noise passthrough
+    vectors = embed_values(CountingProvider(), [s.value for s in pool.snippets()])
+    selection = select_anchor_clusters(dbscan(vectors, cfg), pool, cfg.anchor_top_m)
+    assert selection.passthrough
+    assert got == (assemble_context(pool, selection.indices)[0], selection.warnings)
+    assert got[0].snippets() == pool.snippets()
+
+
+@pytest.mark.parametrize("min_pts", [1, 2, 3])
+def test_vertical_filter_at_min_pts_sends_one_request(min_pts):
+    pool = pool_of([[f"value {i}"] for i in range(min_pts)])
+    cfg = DenoiseConfig(min_pts=min_pts)
+    provider = CountingProvider()
+    vertical_filter(pool, provider, cfg)
+    assert provider.calls == 1
+    failing = CountingProvider(fail=True)
+    with pytest.raises(EmbeddingError, match="embedder down"):
+        vertical_filter(pool, failing, cfg)
+    assert failing.calls == 1

@@ -346,7 +346,9 @@ def _expected_errors(fault, mode, clean):
     if fault == "embed" and "vertical" in stages:
         entering = clean.pools["horizontal" if "horizontal" in stages else "raw"]
         n = len(EvidencePool.from_dict(entering).snippets())
-        if n == 0:  # an empty pool passes the vertical stage without an embedding request
+        # a pool below min_pts (the empty one too) cannot form a cluster, so it
+        # passes the vertical stage without an embedding request
+        if n < DenoiseConfig().min_pts:
             return []
         return [{"stage": "vertical", "error": "EmbeddingError: embedding failed for batch "
                  f"of {n} texts: injected embed fault"}]
@@ -1296,6 +1298,47 @@ def test_cli_denoise_accepts_handwritten_pool(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "Homolog 1 (P00001)" in out and "Homolog 2 (P00002)" in out
+
+
+def test_cli_denoise_sends_no_embedding_request_below_min_pts(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def unreachable(url, payload, timeout, headers):
+        calls.append(url)
+        raise RuntimeError("embedder unreachable")
+
+    monkeypatch.setattr("homorag.gateway._http_post_json", unreachable)
+    monkeypatch.delenv("HOMORAG_EMBEDDER_ENDPOINT", raising=False)
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text(yaml.safe_dump({"backends": {"embedder": {
+        "endpoint": "http://embedder.test/embed", "max_retries": 0}}}), encoding="utf-8")
+
+    def pool_file(name, values):
+        homologs = [
+            {"rank": rank,
+             "hit": {"query_id": "q", "subject_accession": f"P0000{rank}",
+                     "percent_identity": 90.0, "alignment_length": 100,
+                     "identity_count": 90, "e_value": 1e-30, "bitscore": 250.0},
+             "snippets": [{"tag": "FUNCTION", "value": value,
+                           "source_accession": f"P0000{rank}"}]}
+            for rank, value in enumerate(values, start=1)
+        ]
+        path = tmp_path / name
+        path.write_text(json.dumps({"stage": "HORIZONTAL", "homologs": homologs}),
+                        encoding="utf-8")
+        return str(path)
+
+    one = pool_file("one.json", ["lone fact"])
+    assert cli.main(["--config", str(config_path), "denoise", "--pool", one]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "Homolog 1 (P00001): [FUNCTION]: lone fact\n"
+    assert "passing pool through unfiltered" in captured.err
+    assert calls == []
+    # at min_pts the request is sent, and the unreachable embedder fails the verb
+    two = pool_file("two.json", ["shared fact", "shared fact"])
+    assert cli.main(["--config", str(config_path), "denoise", "--pool", two]) == 2
+    assert "embedder unreachable" in capsys.readouterr().err
+    assert calls == ["http://embedder.test/embed"]
 
 
 NOT_A_JSON_OBJECT = pytest.mark.parametrize("content", [
