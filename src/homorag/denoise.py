@@ -29,7 +29,8 @@ class EmbeddingProvider(Protocol):
 
 
 def embed_values(provider: EmbeddingProvider, values: Sequence[str]) -> np.ndarray:
-    """Embed texts through the provider, checking count, dimension, and finiteness."""
+    """Embed texts through the provider, checking count, a shared non-zero
+    dimension, and finiteness."""
     values = list(values)
     if not values:
         return np.zeros((0, 0))
@@ -42,6 +43,8 @@ def embed_values(provider: EmbeddingProvider, values: Sequence[str]) -> np.ndarr
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise EmbeddingError(f"embedding dimensions are not uniform: {sorted(dims)}")
+    if 0 in dims:
+        raise EmbeddingError(f"embedding is empty: {len(values)} vectors of size 0")
     arr = np.asarray(vectors, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise EmbeddingError("embedding contains non-finite values")

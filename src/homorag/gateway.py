@@ -27,8 +27,8 @@ body that is not a UTF-8 JSON object, or an answer that does not have its
 role's shape, is a failed request naming the role and endpoint, and is
 retried like any other fault. The shapes: a scorer answer holds a list of
 string tokens and a list of as many numbers in [0, 1]; an embedder answer
-one vector of finite numbers per text, all of one size; a generator answer
-a string text.
+one non-empty vector of finite numbers per text, all of one size; a
+generator answer a string text.
 
 Responses are cached on disk keyed by a digest of the role, endpoint, model
 and canonicalized request, and only once they have their role's shape; a
@@ -159,6 +159,8 @@ def _vectors(response: dict, n_texts: int) -> list[array]:
             f"vectors for {n_texts} texts"
         )
     rows = [array("d", _check_numbers(vec, "an embedding")) for vec in vectors]
+    if not all(rows):
+        raise ValueError("an embedding is empty")
     if len({len(row) for row in rows}) > 1:
         raise ValueError("embeddings differ in size")
     if not all(all(map(math.isfinite, row)) for row in rows):

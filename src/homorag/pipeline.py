@@ -18,11 +18,12 @@ import json
 import logging
 import re
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .annotations import AnnotationIndex
@@ -238,6 +239,24 @@ def _batch_workers(config: PipelineConfig) -> int:
     return max(remote, default=1)
 
 
+def _sum_windowed(fn: Callable[[QARecord], int], records: list[QARecord], workers: int) -> int:
+    """The sum of fn over records, run on `workers` threads. Results are taken
+    in submission order, and at most twice `workers` records are submitted and
+    not yet taken, so the futures do not grow with the batch. An exception fn
+    raises escapes when its result is taken: the records already submitted
+    finish first, and no later record starts."""
+    total = 0
+    window = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for record in records:
+            if len(window) == 2 * workers:
+                total += window.popleft().result()
+            window.append(pool.submit(fn, record))
+        while window:
+            total += window.popleft().result()
+    return total
+
+
 @contextmanager
 def _stage(artifact: RunArtifact, name: str):
     """Time one stage of a record into `artifact.timings`. An exception the
@@ -339,8 +358,11 @@ class Pipeline:
                 return 1
             return 1 if artifact.errors else 0
 
-        with ThreadPoolExecutor(max_workers=_batch_workers(self.config)) as pool:
-            failures = sum(pool.map(_one, todo))
+        workers = _batch_workers(self.config)
+        if workers == 1:  # no request to wait on, so a thread would only hand records over
+            failures = sum(map(_one, todo))
+        else:
+            failures = _sum_windowed(_one, todo, workers)
         write_atomic(out / "timings.json", dump_json(timings).encode())
 
         summary = {

@@ -9,7 +9,7 @@ import pytest
 
 from homorag.annotations import AnnotationSnippet
 from homorag import denoise
-from homorag.config import DenoiseConfig
+from homorag.config import BackendConfig, DenoiseConfig
 from homorag.denoise import (
     AnchorSelection,
     ClusterSet,
@@ -22,7 +22,7 @@ from homorag.denoise import (
     select_anchor_clusters,
     vertical_filter,
 )
-from homorag.gateway import mock_hash_embedding
+from homorag.gateway import Gateway, mock_hash_embedding
 from homorag.homology import EvidencePool, HomologHit, PoolHomolog, Stage
 
 
@@ -350,6 +350,32 @@ def test_embed_values_checks_dimensions():
 def test_embed_values_checks_finite():
     with pytest.raises(EmbeddingError, match="non-finite"):
         embed_values(ListProvider([[float("nan")]]), ["a"])
+
+
+def test_embed_values_refuses_empty_vectors():
+    with pytest.raises(EmbeddingError, match="^embedding is empty: 2 vectors of size 0$"):
+        embed_values(ListProvider([[], []]), ["a", "b"])
+
+
+def test_empty_embedder_answer_is_refused_and_never_cached(tmp_path):
+    calls = []
+
+    def transport(url, payload, timeout, headers):
+        calls.append(payload["input"])
+        if len(calls) == 1:
+            return {"embeddings": [[], []]}
+        return {"embeddings": [[1.0, 0.0], [0.0, 1.0]]}
+
+    gw = Gateway(cache_dir=tmp_path, transport=transport)
+    handle = gw.embedder_handle(BackendConfig(role="embedder", endpoint="http://embedder.test/embed",
+                                              max_retries=0))
+    with pytest.raises(EmbeddingError, match="an embedding is empty$"):
+        embed_values(handle, ["alpha", "beta"])
+    assert list(tmp_path.glob("embedder-*.json")) == []
+    # the backend is fixed: nothing of the empty answer was kept, so it is asked again
+    assert embed_values(handle, ["alpha", "beta"]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert calls == [["alpha", "beta"], ["alpha", "beta"]]
+    assert len(list(tmp_path.glob("embedder-*.json"))) == 1
 
 
 def test_mock_embeddings_deterministic_for_duplicate_texts():

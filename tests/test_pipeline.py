@@ -7,6 +7,7 @@ import shutil
 import stat
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -557,6 +558,82 @@ def test_batch_with_remote_generator_overlaps_up_to_its_in_flight_limit(
     config = replace(config, generator=BackendConfig(
         role="generator", endpoint="http://generator.test/generate", max_in_flight=3))
     assert 1 < _batch_overlap(Pipeline(config, transport=transport), tmp_path / "run") <= 3
+
+
+def _remote_generator_pipeline(index_dir, filter_model, tmp_path, max_in_flight=3):
+    """The fixture pipeline with its generator behind a transport, so a batch runs pooled."""
+    def transport(url, payload, timeout, headers):
+        return {"text": "remote answer"}
+
+    config = make_pipeline_config(index_dir, filter_model, tmp_path)
+    config = replace(config, generator=BackendConfig(
+        role="generator", endpoint="http://generator.test/generate", max_in_flight=max_in_flight))
+    return Pipeline(config, transport=transport)
+
+
+def test_batch_with_mock_backends_runs_on_the_calling_thread(index_dir_module, filter_model_module,
+                                                             tmp_path, records, monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a batch with mock backends started a thread")
+
+    monkeypatch.setattr("homorag.pipeline.ThreadPoolExecutor", no_thread)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path))
+    threads = {}
+    run_query = pipe.run_query
+
+    def recorded(record):
+        threads[record.id] = threading.get_ident()
+        return run_query(record)
+
+    pipe.run_query = recorded
+    summary = pipe.run_batch(FIXTURES / "qa_records.jsonl", tmp_path / "run")
+    assert (summary["processed"], summary["records_with_errors"]) == (10, 0)
+    assert threads == dict.fromkeys(records, threading.get_ident())
+
+
+def test_pooled_batch_keeps_at_most_twice_its_workers_submitted(index_dir_module,
+                                                                filter_model_module, tmp_path,
+                                                                monkeypatch):
+    futures = []
+    most_pending = [0]
+
+    class CountingExecutor(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            futures.append(future)
+            most_pending[0] = max(most_pending[0], sum(not f.done() for f in futures))
+            return future
+
+    monkeypatch.setattr("homorag.pipeline.ThreadPoolExecutor", CountingExecutor)
+    pipe = _remote_generator_pipeline(index_dir_module, filter_model_module, tmp_path)
+    assert 1 < _batch_overlap(pipe, tmp_path / "run") <= 3
+    assert len(futures) == 10 and all(f.done() for f in futures)
+    assert most_pending[0] <= 6
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+def test_an_exception_escaping_a_record_ends_the_batch(index_dir_module, filter_model_module,
+                                                       tmp_path, records, monkeypatch, pooled):
+    first = next(iter(records))
+
+    def write(directory, artifact):
+        if artifact.record_id == first:
+            raise TypeError("an artifact that cannot be encoded")
+        write_artifact(directory, artifact)
+
+    monkeypatch.setattr("homorag.pipeline.write_artifact", write)
+    if pooled:  # three workers, so six records submitted when the first one's result is taken
+        pipe = _remote_generator_pipeline(index_dir_module, filter_model_module, tmp_path)
+    else:
+        pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path))
+    out = tmp_path / "run"
+    with pytest.raises(TypeError, match="cannot be encoded"):
+        pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
+    assert not (out / "summary.json").exists() and not (out / "timings.json").exists()
+    written = {p.stem for p in (out / "artifacts").glob("*.json")}
+    # the records already submitted finish; no later record starts
+    assert written == (set(list(records)[1:6]) if pooled else set())
 
 
 def test_batch_changed_config_recomputes(index_dir_module, filter_model_module, tmp_path):
