@@ -18,11 +18,11 @@ import json
 import logging
 import re
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from queue import SimpleQueue
 from typing import Callable, Optional, Sequence
 
 from . import __version__
@@ -240,20 +240,33 @@ def _batch_workers(config: PipelineConfig) -> int:
 
 
 def _sum_windowed(fn: Callable[[QARecord], int], records: list[QARecord], workers: int) -> int:
-    """The sum of fn over records, run on `workers` threads. Results are taken
-    in submission order, and at most twice `workers` records are submitted and
-    not yet taken, so the futures do not grow with the batch. An exception fn
-    raises escapes when its result is taken: the records already submitted
-    finish first, and no later record starts."""
+    """The sum of fn over records, run on `workers` threads. At most twice
+    `workers` records are submitted and not yet taken, so the futures do not
+    grow with the batch, and results are taken as they finish, so a slow
+    record never keeps a free worker waiting. An exception fn raises escapes
+    once its record is taken; as in `Executor.map`, the records submitted but
+    not started are cancelled, and those running finish."""
     total = 0
-    window = deque()
+    window: set[Future] = set()
+    finished: SimpleQueue[Future] = SimpleQueue()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for record in records:
-            if len(window) == 2 * workers:
-                total += window.popleft().result()
-            window.append(pool.submit(fn, record))
-        while window:
-            total += window.popleft().result()
+        try:
+            for record in records:
+                if len(window) == 2 * workers:
+                    future = finished.get()
+                    window.remove(future)
+                    total += future.result()
+                future = pool.submit(fn, record)
+                window.add(future)
+                future.add_done_callback(finished.put)
+            while window:
+                future = finished.get()
+                window.remove(future)
+                total += future.result()
+        except BaseException:
+            for future in window:
+                future.cancel()
+            raise
     return total
 
 
@@ -359,7 +372,7 @@ class Pipeline:
             return 1 if artifact.errors else 0
 
         workers = _batch_workers(self.config)
-        if workers == 1:  # no request to wait on, so a thread would only hand records over
+        if workers == 1:  # one worker overlaps nothing; a thread would only hand records over
             failures = sum(map(_one, todo))
         else:
             failures = _sum_windowed(_one, todo, workers)

@@ -612,18 +612,57 @@ def test_pooled_batch_keeps_at_most_twice_its_workers_submitted(index_dir_module
     assert most_pending[0] <= 6
 
 
+def test_pooled_batch_runs_the_other_records_while_one_is_slow(index_dir_module,
+                                                              filter_model_module, tmp_path,
+                                                              records):
+    pipe = _remote_generator_pipeline(index_dir_module, filter_model_module, tmp_path)
+    slow = next(iter(records))
+    finished, waited = [], []
+    others_done = threading.Event()
+    lock = threading.Lock()
+    run_query = pipe.run_query
+
+    def slow_first(record):
+        if record.id == slow:  # a long generation, done after every other record
+            waited.append(others_done.wait(timeout=10))
+        artifact = run_query(record)
+        with lock:
+            finished.append(record.id)
+            if len(finished) == len(records) - 1:
+                others_done.set()
+        return artifact
+
+    pipe.run_query = slow_first
+    summary = pipe.run_batch(FIXTURES / "qa_records.jsonl", tmp_path / "run")
+    assert (summary["processed"], summary["records_with_errors"]) == (10, 0)
+    assert waited == [True] and finished[-1] == slow
+
+
 @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
 def test_an_exception_escaping_a_record_ends_the_batch(index_dir_module, filter_model_module,
                                                        tmp_path, records, monkeypatch, pooled):
-    first = next(iter(records))
+    first, second, third, fourth = list(records)[:4]
+    others_running = threading.Semaphore(0)
+    shutting_down = threading.Event()
+
+    class SignallingExecutor(ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            shutting_down.set()
+            super().shutdown(*args, **kwargs)
 
     def write(directory, artifact):
         if artifact.record_id == first:
+            if pooled:  # fail once the other two workers hold a record each
+                assert all(others_running.acquire(timeout=10) for _ in range(2))
             raise TypeError("an artifact that cannot be encoded")
+        if pooled:  # every other record that starts holds its worker until the pool shuts down
+            others_running.release()
+            shutting_down.wait(timeout=10)
         write_artifact(directory, artifact)
 
     monkeypatch.setattr("homorag.pipeline.write_artifact", write)
-    if pooled:  # three workers, so six records submitted when the first one's result is taken
+    monkeypatch.setattr("homorag.pipeline.ThreadPoolExecutor", SignallingExecutor)
+    if pooled:  # three workers
         pipe = _remote_generator_pipeline(index_dir_module, filter_model_module, tmp_path)
     else:
         pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path))
@@ -632,8 +671,11 @@ def test_an_exception_escaping_a_record_ends_the_batch(index_dir_module, filter_
         pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
     assert not (out / "summary.json").exists() and not (out / "timings.json").exists()
     written = {p.stem for p in (out / "artifacts").glob("*.json")}
-    # the records already submitted finish; no later record starts
-    assert written == (set(list(records)[1:6]) if pooled else set())
+    if pooled:  # the two running records finish, and the failed record's worker may have taken
+        # the fourth one before the failure was seen; every later record is cancelled
+        assert {second, third} <= written <= {second, third, fourth}
+    else:
+        assert written == set()
 
 
 def test_batch_changed_config_recomputes(index_dir_module, filter_model_module, tmp_path):
