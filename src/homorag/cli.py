@@ -17,7 +17,7 @@ from . import __version__
 from .annotations import AccessionNotFound, AnnotationIndex, build_index, format_entry
 from .atomic import dump_json, read_json_object, write_atomic
 from .config import load_config
-from .denoise import render_context, vertical_filter
+from .denoise import vertical_filter
 from .gateway import Gateway
 from .homology import (
     EvidencePool,
@@ -215,14 +215,14 @@ def _cmd_denoise(args, config) -> int:
         raise ValueError(
             f"{args.pool}: not an evidence pool ({type(exc).__name__}: {exc})") from exc
     gateway = Gateway(cache_dir=config.paths.cache_dir)
-    vertical, warnings = vertical_filter(
+    vertical, context, warnings = vertical_filter(
         pool, gateway.embedder_handle(config.embedder), _with_flags(config.denoise, args)
     )
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.out:
         write_atomic(Path(args.out), dump_json(vertical.to_dict()).encode())
-    print(render_context(vertical))
+    print(context)
     return 0
 
 

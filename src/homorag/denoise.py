@@ -294,22 +294,22 @@ def vertical_filter(
     pool: EvidencePool,
     embedder: EmbeddingProvider,
     cfg: DenoiseConfig,
-) -> tuple[EvidencePool, tuple[str, ...]]:
+) -> tuple[EvidencePool, str, tuple[str, ...]]:
     """The vertical stage: embed the pool's snippet values, cluster them and
     keep the anchor homologs' clusters.
 
-    Returns the vertical pool and the anchor selection's warnings. A pool
-    without snippets is passed on empty without an embedding request. A pool
-    of fewer than `cfg.min_pts` snippets cannot form a cluster, so it is
-    taken as all noise without an embedding request either; its anchor
-    selection passes it through, as `dbscan`'s answer would.
+    Returns the vertical pool, its rendered context and the anchor
+    selection's warnings. A pool without snippets is passed on empty without
+    an embedding request. A pool of fewer than `cfg.min_pts` snippets cannot
+    form a cluster, so it is taken as all noise without an embedding request
+    either; its anchor selection passes it through, as `dbscan`'s answer would.
     """
     flat = pool.snippets()
     if not flat:
-        return assemble_context(pool, [])[0], ()
+        return *assemble_context(pool, []), ()
     if len(flat) < cfg.min_pts:
         clusters = _all_noise(len(flat))
     else:
         clusters = dbscan(embed_values(embedder, [s.value for s in flat]), cfg)
     selection = select_anchor_clusters(clusters, pool, cfg.anchor_top_m)
-    return assemble_context(pool, selection.indices)[0], selection.warnings
+    return *assemble_context(pool, selection.indices), selection.warnings

@@ -17,13 +17,12 @@ from __future__ import annotations
 import json
 import logging
 import re
+import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from queue import SimpleQueue
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .annotations import AnnotationIndex
@@ -232,42 +231,46 @@ def _drop_shared_names(records: list[QARecord], directory: Path,
 
 
 def _batch_workers(config: PipelineConfig) -> int:
-    """Threads for `run_batch`: they pay off only while queries wait on a
-    remote backend, and the gateway lets `max_in_flight` requests through."""
-    remote = [b.max_in_flight for b in (config.embedder, config.generator)
-              if not b.endpoint.startswith("mock:")]
-    return max(remote, default=1)
+    """Threads for `run_batch`: the largest `max_in_flight` of remote backends the mode calls."""
+    used = [config.generator]
+    if "vertical" in MODE_STAGES[config.mode]:
+        used.append(config.embedder)
+    return max((b.max_in_flight for b in used if not b.endpoint.startswith("mock:")), default=1)
 
 
-def _sum_windowed(fn: Callable[[QARecord], int], records: list[QARecord], workers: int) -> int:
-    """The sum of fn over records, run on `workers` threads. At most twice
-    `workers` records are submitted and not yet taken, so the futures do not
-    grow with the batch, and results are taken as they finish, so a slow
-    record never keeps a free worker waiting. An exception fn raises escapes
-    once its record is taken; as in `Executor.map`, the records submitted but
-    not started are cancelled, and those running finish."""
-    total = 0
-    window: set[Future] = set()
-    finished: SimpleQueue[Future] = SimpleQueue()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+def _sum_pulled(fn: Callable[[QARecord], int], records: Iterable[QARecord], workers: int) -> int:
+    """The sum of fn over records on the calling thread and `workers - 1` helpers, each taking
+    the next record as soon as it is free. After a record raises or a helper cannot start, no
+    thread takes another; the running ones finish and the first exception escapes."""
+    pending = iter(records)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+    totals: list[int] = []
+
+    def take() -> Optional[QARecord]:
+        with lock:
+            return None if errors else next(pending, None)
+
+    def pull() -> None:
         try:
-            for record in records:
-                if len(window) == 2 * workers:
-                    future = finished.get()
-                    window.remove(future)
-                    total += future.result()
-                future = pool.submit(fn, record)
-                window.add(future)
-                future.add_done_callback(finished.put)
-            while window:
-                future = finished.get()
-                window.remove(future)
-                total += future.result()
-        except BaseException:
-            for future in window:
-                future.cancel()
-            raise
-    return total
+            totals.append(sum(map(fn, iter(take, None))))
+        except BaseException as exc:  # the calling thread raises the first one
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=pull)
+            helper.start()
+            helpers.append(helper)
+    except BaseException as exc:  # the helpers started stop after their current record
+        errors.append(exc)
+    pull()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return sum(totals)
 
 
 @contextmanager
@@ -332,11 +335,12 @@ class Pipeline:
                 if name == "horizontal":
                     pool = gate(pool, self.filter_model, record.instruction)
                 else:
-                    pool, warnings = vertical_filter(
+                    pool, artifact.context, warnings = vertical_filter(
                         pool, self.gateway.embedder_handle(cfg.embedder), cfg.denoise)
                     artifact.warnings.extend(warnings)
                 artifact.pools[name] = pool.to_dict()
-        artifact.context = render_context(pool)
+        if "vertical" not in artifact.pools:  # no vertical stage rendered the final pool
+            artifact.context = render_context(pool)
 
         with _stage(artifact, "generation"):
             artifact.prompt = build_prompt(record, artifact.context)
@@ -371,11 +375,7 @@ class Pipeline:
                 return 1
             return 1 if artifact.errors else 0
 
-        workers = _batch_workers(self.config)
-        if workers == 1:  # one worker overlaps nothing; a thread would only hand records over
-            failures = sum(map(_one, todo))
-        else:
-            failures = _sum_windowed(_one, todo, workers)
+        failures = _sum_pulled(_one, todo, _batch_workers(self.config))
         write_atomic(out / "timings.json", dump_json(timings).encode())
 
         summary = {

@@ -569,7 +569,7 @@ def test_vertical_filter_below_min_pts_sends_no_embedding_request(values_by_rank
     vectors = embed_values(CountingProvider(), [s.value for s in pool.snippets()])
     selection = select_anchor_clusters(dbscan(vectors, cfg), pool, cfg.anchor_top_m)
     assert selection.passthrough
-    assert got == (assemble_context(pool, selection.indices)[0], selection.warnings)
+    assert got == (*assemble_context(pool, selection.indices), selection.warnings)
     assert got[0].snippets() == pool.snippets()
 
 

@@ -5,9 +5,9 @@ import os
 import re
 import shutil
 import stat
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,6 +52,7 @@ from homorag.pipeline import (
     NO_EVIDENCE_NOTE,
     Pipeline,
     QARecord,
+    _sum_pulled,
     build_prompt,
     label_dataset,
     read_dataset,
@@ -290,6 +291,26 @@ def test_replay_matches_stored_context(pipeline, records):
     for rid in ("case-r1", "func-r1", "desc-r1", "desc-r2"):
         artifact = pipeline.run_query(records[rid])
         assert replay_context(artifact.to_dict()) == artifact.context
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_query_renders_its_context_once(index_dir_module, filter_model_module, tmp_path,
+                                            records, monkeypatch, mode):
+    rendered = []
+
+    def counted(pool):
+        rendered.append(pool.stage)
+        return render_context(pool)
+
+    monkeypatch.setattr("homorag.pipeline.render_context", counted)
+    monkeypatch.setattr("homorag.denoise.render_context", counted)
+    pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path,
+                                         mode=mode))
+    final = ("raw", *MODE_STAGES[mode])[-1]
+    for record in records.values():
+        artifact = pipe.run_query(record)
+        assert artifact.context == render_context(EvidencePool.from_dict(artifact.pools[final]))
+    assert rendered == [Stage[final.upper()]] * len(records)
 
 
 def test_config_requires_filter_model_for_horizontal_modes(index_dir_module, tmp_path):
@@ -561,7 +582,8 @@ def test_batch_with_remote_generator_overlaps_up_to_its_in_flight_limit(
 
 
 def _remote_generator_pipeline(index_dir, filter_model, tmp_path, max_in_flight=3):
-    """The fixture pipeline with its generator behind a transport, so a batch runs pooled."""
+    """The fixture pipeline with its generator behind a transport, so a batch runs
+    `max_in_flight` threads: the calling one and its helpers."""
     def transport(url, payload, timeout, headers):
         return {"text": "remote answer"}
 
@@ -571,45 +593,86 @@ def _remote_generator_pipeline(index_dir, filter_model, tmp_path, max_in_flight=
     return Pipeline(config, transport=transport)
 
 
-def test_batch_with_mock_backends_runs_on_the_calling_thread(index_dir_module, filter_model_module,
-                                                             tmp_path, records, monkeypatch):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a batch with mock backends started a thread")
-
-    monkeypatch.setattr("homorag.pipeline.ThreadPoolExecutor", no_thread)
-    monkeypatch.setattr(threading.Thread, "start", no_thread)
-    pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path))
-    threads = {}
+def _started_records(pipe):
+    """Wrap `pipe.run_query`; return the list each call appends its (record id,
+    thread id) to."""
+    started = []
     run_query = pipe.run_query
 
     def recorded(record):
-        threads[record.id] = threading.get_ident()
+        started.append((record.id, threading.get_ident()))
         return run_query(record)
 
     pipe.run_query = recorded
-    summary = pipe.run_batch(FIXTURES / "qa_records.jsonl", tmp_path / "run")
+    return started
+
+
+def _calling_thread_batch(pipe, out, monkeypatch):
+    """Run the fixture batch with `Thread.start` patched to raise; return each
+    record's thread."""
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-worker batch started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    started = _started_records(pipe)
+    summary = pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
     assert (summary["processed"], summary["records_with_errors"]) == (10, 0)
+    return dict(started)
+
+
+def test_batch_with_mock_backends_runs_on_the_calling_thread(index_dir_module, filter_model_module,
+                                                             tmp_path, records, monkeypatch):
+    pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path))
+    threads = _calling_thread_batch(pipe, tmp_path / "run", monkeypatch)
     assert threads == dict.fromkeys(records, threading.get_ident())
 
 
-def test_pooled_batch_keeps_at_most_twice_its_workers_submitted(index_dir_module,
-                                                                filter_model_module, tmp_path,
-                                                                monkeypatch):
-    futures = []
-    most_pending = [0]
+@pytest.mark.parametrize("mode", ["raw_only", "horizontal_only"])
+def test_batch_counts_no_embedder_for_a_mode_without_the_vertical_stage(
+        index_dir_module, filter_model_module, tmp_path, records, monkeypatch, mode):
+    def transport(url, payload, timeout, headers):
+        raise AssertionError(f"a {mode} batch sent a request to {url}")
 
-    class CountingExecutor(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            future = super().submit(*args, **kwargs)
-            futures.append(future)
-            most_pending[0] = max(most_pending[0], sum(not f.done() for f in futures))
-            return future
+    config = replace(make_pipeline_config(index_dir_module, filter_model_module, tmp_path,
+                                          mode=mode),
+                     embedder=BackendConfig(role="embedder", endpoint="http://embedder.test/embed",
+                                            max_in_flight=8))
+    threads = _calling_thread_batch(Pipeline(config, transport=transport), tmp_path / "run",
+                                    monkeypatch)
+    assert threads == dict.fromkeys(records, threading.get_ident())
 
-    monkeypatch.setattr("homorag.pipeline.ThreadPoolExecutor", CountingExecutor)
-    pipe = _remote_generator_pipeline(index_dir_module, filter_model_module, tmp_path)
-    assert 1 < _batch_overlap(pipe, tmp_path / "run") <= 3
-    assert len(futures) == 10 and all(f.done() for f in futures)
-    assert most_pending[0] <= 6
+
+def test_sum_pulled_takes_a_record_only_for_a_free_thread():
+    workers, n = 8, 200  # more threads than cores, and a short switch interval
+    lock = threading.Lock()
+    counts = {"taken": 0, "finished": 0, "most_unfinished": 0}
+    seen = []
+
+    def records():  # a generator raises if two threads resume it at once
+        for i in range(n):
+            time.sleep(0)  # let another thread run while this one is inside the generator
+            with lock:
+                counts["taken"] += 1
+                counts["most_unfinished"] = max(counts["most_unfinished"],
+                                                counts["taken"] - counts["finished"])
+            yield i
+
+    def fn(i):
+        time.sleep(0.001)  # long enough for the other threads to take a record
+        seen.append(i)
+        with lock:
+            counts["finished"] += 1
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert _sum_pulled(fn, records(), workers) == sum(range(n))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == list(range(n))
+    assert counts["taken"] == counts["finished"] == n
+    assert 1 < counts["most_unfinished"] <= workers
 
 
 def test_pooled_batch_runs_the_other_records_while_one_is_slow(index_dir_module,
@@ -641,41 +704,76 @@ def test_pooled_batch_runs_the_other_records_while_one_is_slow(index_dir_module,
 @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
 def test_an_exception_escaping_a_record_ends_the_batch(index_dir_module, filter_model_module,
                                                        tmp_path, records, monkeypatch, pooled):
-    first, second, third, fourth = list(records)[:4]
+    first, second, third = list(records)[:3]
     others_running = threading.Semaphore(0)
-    shutting_down = threading.Event()
-
-    class SignallingExecutor(ThreadPoolExecutor):
-        def shutdown(self, *args, **kwargs):
-            shutting_down.set()
-            super().shutdown(*args, **kwargs)
+    failed = threading.Event()
 
     def write(directory, artifact):
         if artifact.record_id == first:
-            if pooled:  # fail once the other two workers hold a record each
+            if pooled:  # fail once the other two threads hold a record each
                 assert all(others_running.acquire(timeout=10) for _ in range(2))
+            failed.set()
             raise TypeError("an artifact that cannot be encoded")
-        if pooled:  # every other record that starts holds its worker until the pool shuts down
+        if pooled:  # every other record that starts holds its thread until the failing write
             others_running.release()
-            shutting_down.wait(timeout=10)
+            assert failed.wait(timeout=10)
         write_artifact(directory, artifact)
 
     monkeypatch.setattr("homorag.pipeline.write_artifact", write)
-    monkeypatch.setattr("homorag.pipeline.ThreadPoolExecutor", SignallingExecutor)
-    if pooled:  # three workers
+    if pooled:  # three threads
         pipe = _remote_generator_pipeline(index_dir_module, filter_model_module, tmp_path)
     else:
         pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path))
+    started = _started_records(pipe)
     out = tmp_path / "run"
     with pytest.raises(TypeError, match="cannot be encoded"):
         pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
     assert not (out / "summary.json").exists() and not (out / "timings.json").exists()
-    written = {p.stem for p in (out / "artifacts").glob("*.json")}
-    if pooled:  # the two running records finish, and the failed record's worker may have taken
-        # the fourth one before the failure was seen; every later record is cancelled
-        assert {second, third} <= written <= {second, third, fourth}
-    else:
-        assert written == set()
+    # the records running at the failure finish, and no thread takes another
+    assert sorted(rid for rid, _ in started) == sorted(
+        [first, second, third] if pooled else [first])
+    assert {p.stem for p in (out / "artifacts").glob("*.json")} == (
+        {second, third} if pooled else set())
+
+
+def test_a_helper_that_cannot_start_ends_the_batch(index_dir_module, filter_model_module,
+                                                   tmp_path, records, monkeypatch):
+    pipe = _remote_generator_pipeline(index_dir_module, filter_model_module, tmp_path)
+    first = next(iter(records))
+    start, join = threading.Thread.start, threading.Thread.join
+    starts = []
+    helper_running, joining = threading.Event(), threading.Event()
+
+    def second_start_fails(thread):
+        starts.append(thread)
+        if len(starts) == 2:  # once the first helper holds a record
+            assert helper_running.wait(timeout=10)
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    def signalled_join(thread, timeout=None):
+        joining.set()
+        join(thread, timeout)
+
+    monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+    monkeypatch.setattr(threading.Thread, "join", signalled_join)
+    threads = []
+    run_query = pipe.run_query
+
+    def held(record):  # the helper's record runs on once the batch waits for it
+        threads.append((record.id, threading.get_ident()))
+        helper_running.set()
+        assert joining.wait(timeout=10)
+        return run_query(record)
+
+    pipe.run_query = held
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        pipe.run_batch(FIXTURES / "qa_records.jsonl", out)
+    assert len(starts) == 2 and threads == [(first, starts[0].ident)]
+    assert not starts[0].is_alive()
+    assert not (out / "summary.json").exists() and not (out / "timings.json").exists()
+    assert [p.stem for p in (out / "artifacts").glob("*.json")] == [first]
 
 
 def test_batch_changed_config_recomputes(index_dir_module, filter_model_module, tmp_path):
