@@ -29,6 +29,10 @@ _GO_ID_RE = re.compile(r"^GO:\d{7}$")
 _ID_LINE_RE = re.compile(r"^ID\s+(\S+)\s+.*?(\d+)\s+AA\.?\s*$")
 _DR_GO_RE = re.compile(r"^DR\s+GO;\s+(GO:\d{7});")
 _NOTE_RE = re.compile(r'/note="([^"]*)"')
+# whole blank lines, then the blanks that open the next line; blank is what bytes.strip() drops
+_BLANK_LINES = re.compile(rb"((?:[ \t\r\v\f]*\n)*)[ \t\r\v\f]*")
+
+_BLOCK_SIZE = 1 << 16  # bytes read from the flat file at a time
 
 LOOKUP_CACHE_ENTRIES = 4096  # parsed entries an index keeps, and accessions it remembers
 
@@ -138,14 +142,18 @@ class ProteinEntry:
                 )
 
 
-def parse_entry(record_text: str, line_offset: int = 0) -> ProteinEntry:
-    """Parse one flat-file record (text up to and including its '//' line).
+def _scan_entry(
+    record_text: str, line_offset: int
+) -> tuple[int, list[str], list[tuple[str, str]], list[str]]:
+    """Check one flat-file record and return (sequence length, accessions,
+    (tag, value) pairs, GO ids), raising the ParseError `parse_entry` would.
 
     One pass over the lines. A CC block ends at the next topic, the `CC   ---`
     footer or any non-CC line; an FT feature at the next feature key or any
-    line that is neither FT nor CC. Snippets come out in the order their
-    blocks end; multi-line CC values are joined with single spaces. The first
-    faulty line raises ParseError; a missing ID or AC line only after that.
+    line that is neither FT nor CC. Pairs come out in the order their blocks
+    end; multi-line CC values are joined with single spaces. The first faulty
+    line raises ParseError; a missing ID or AC line only after that. Every
+    pair makes a valid AnnotationSnippet, so building the entry cannot fail.
     """
     sequence_length: Optional[int] = None
     accessions: list[str] = []
@@ -175,6 +183,8 @@ def parse_entry(record_text: str, line_offset: int = 0) -> ProteinEntry:
                 topic, sep, rest = body[4:].partition(":")
                 if not sep:
                     raise ParseError(f"CC topic line without ':': {line!r}", n)
+                if not topic.strip():
+                    raise ParseError(f"CC topic line without a topic: {line!r}", n)
                 cc_parts, cc_start = [rest.strip()], n
             continue
         is_ft = code == "FT   "
@@ -217,6 +227,13 @@ def parse_entry(record_text: str, line_offset: int = 0) -> ProteinEntry:
         raise ParseError("missing ID line", line_offset + 1)
     if not accessions:
         raise ParseError("missing AC line", line_offset + 1)
+    return sequence_length, accessions, found, go_ids
+
+
+def parse_entry(record_text: str, line_offset: int = 0) -> ProteinEntry:
+    """Parse one flat-file record (text up to and including its '//' line);
+    `_scan_entry` says what is read and what is refused."""
+    sequence_length, accessions, found, go_ids = _scan_entry(record_text, line_offset)
     primary = accessions[0]
     return ProteinEntry(
         accession=primary,
@@ -232,29 +249,56 @@ def iter_raw_records(path: str | Path) -> Iterator[tuple[bytes, int, int, int]]:
 
     A record runs from its first non-blank line through the terminating '//'
     line. Content after the final '//' that never terminates is an error.
+
+    The file is read in _BLOCK_SIZE blocks into one growing buffer, and each
+    search resumes where the last one stopped, so a record that spans many
+    blocks is still read, searched and copied once.
     """
-    offset = 0
-    line_no = 0
-    start: Optional[int] = None
-    start_line = 0
-    buf: list[bytes] = []
+    buf = bytearray(b"\n")  # a line starts after each b"\n": this one stands before the file
+    base = -1  # file offset of buf[0]
+    start = scan = 1  # first line not yet yielded; where the pending search resumes
+    line_no = 0  # lines before `start`
+    in_record = False  # a non-blank line starts at `start`
+    at_end_line = False  # `scan` is inside the record's '//' line
+    eof = False
     with open(path, "rb") as fh:
-        for raw in fh:
-            line_no += 1
-            if start is None:
-                if raw.strip():
-                    start = offset
-                    start_line = line_no
-                    buf = [raw]
+        while True:
+            if not in_record:
+                m = _BLANK_LINES.match(buf, scan)
+                if m.end(1) > scan:
+                    line_no += buf.count(b"\n", scan, m.end(1))
+                    start = m.end(1)
+                scan = m.end()
+                if scan < len(buf):
+                    in_record, scan = True, start - 1
+                    continue
+                if eof:
+                    return
+            elif not at_end_line:
+                found = buf.find(b"\n//", scan)
+                if found >= 0:
+                    at_end_line, scan = True, found + 3
+                    continue
+                if eof:
+                    raise ParseError(
+                        "truncated final record (no terminating '//')", line_no + 1, str(path))
+                scan = max(start - 1, len(buf) - 2)  # a match may straddle the next block
             else:
-                buf.append(raw)
-            if start is not None and raw.startswith(b"//"):
-                length = offset + len(raw) - start
-                yield b"".join(buf), start, length, start_line
-                start = None
-            offset += len(raw)
-    if start is not None:
-        raise ParseError("truncated final record (no terminating '//')", start_line, str(path))
+                found = buf.find(b"\n", scan)
+                if found >= 0 or eof:
+                    end = found + 1 if found >= 0 else len(buf)
+                    yield bytes(buf[start:end]), base + start, end - start, line_no + 1
+                    line_no += buf.count(b"\n", start, end)
+                    start = scan = end
+                    in_record = at_end_line = False
+                    continue
+                scan = len(buf)
+            # the buffer holds no answer: drop what is yielded, keeping the b"\n" before `start`
+            del buf[:start - 1]
+            base, scan, start = base + start - 1, scan - start + 1, 1
+            block = fh.read(_BLOCK_SIZE)
+            eof = not block
+            buf += block
 
 
 def parse_go_file(path: str | Path) -> dict[str, GoTerm]:
@@ -419,6 +463,8 @@ def build_index(
 ) -> AnnotationIndex:
     """Index every record of the flat file by primary and secondary accession.
 
+    Each record is checked by `_scan_entry`, so the build refuses what
+    `parse_entry` refuses, with the same message, but builds no entry.
     Duplicate accessions are an error (the message names both records'
     `path:line` and offsets). The sidecar written to `out_dir` is
     deterministic: rebuilding over the same file yields byte-identical output.
@@ -429,7 +475,7 @@ def build_index(
     count = 0
     for blob, offset, length, start_line in iter_raw_records(dat_path):
         try:
-            entry = parse_entry(blob.decode("utf-8"), line_offset=start_line - 1)
+            accessions = _scan_entry(blob.decode("utf-8"), start_line - 1)[1]
         except ParseError as exc:
             raise ParseError(exc.message, exc.line, dat_path) from exc
         except UnicodeDecodeError as exc:
@@ -437,7 +483,7 @@ def build_index(
                 f"record is not UTF-8: byte {blob[exc.start]:#04x} at offset "
                 f"{offset + exc.start} ({exc.reason})", start_line, dat_path) from exc
         count += 1
-        for acc in (entry.accession, *entry.secondary_accessions):
+        for acc in accessions:
             if acc in records:
                 raise IndexBuildError(
                     f"duplicate accession {acc!r}: records at {dat_path}:{start_lines[acc]} "

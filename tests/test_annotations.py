@@ -2,11 +2,13 @@
 
 import re
 import shutil
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import homorag.annotations as annotations
 from homorag.annotations import (
     AccessionNotFound,
     AnnotationIndex,
@@ -180,6 +182,19 @@ def test_multi_fault_record_reports_its_first_faulty_line():
     # a missing ID or AC line is reported only when no line is faulty
     with pytest.raises(ParseError, match=re.escape("line 2: CC block 'EMPTY' has no text")):
         parse_entry("DE   x\nCC   -!- Empty:\n//\n")
+
+
+def test_empty_cc_topic_is_a_parse_error_at_its_line():
+    record = (
+        "ID   TEST_HUMAN              Reviewed;          10 AA.\n"
+        "AC   P12345;\n"
+        "CC   -!- FUNCTION: Binds zinc.\n"
+        "CC   -!-   : some text\n"
+        "//\n"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_entry(record, line_offset=10)
+    assert str(info.value) == "line 14: CC topic line without a topic: 'CC   -!-   : some text'"
 
 
 # -- differential check against the three-pass parser -----------------------
@@ -406,6 +421,163 @@ def test_one_pass_parser_matches_three_pass_reference(record_text, line_offset):
         assert parse_entry(record_text, line_offset) == expected
 
 
+# -- the block splitter and the build against line-loop references ----------
+#
+# Straight-line copies of the earlier record splitter, which took the file one
+# line at a time, and of the earlier build, which parsed every record into an
+# entry. The block splitter and the scan-only build must agree with them on
+# records, offsets and start lines, and on every refusal and its message.
+
+def reference_iter_raw_records(path):
+    offset = 0
+    line_no = 0
+    start = None
+    start_line = 0
+    buf = []
+    with open(path, "rb") as fh:
+        for raw in fh:
+            line_no += 1
+            if start is None:
+                if raw.strip():
+                    start = offset
+                    start_line = line_no
+                    buf = [raw]
+            else:
+                buf.append(raw)
+            if start is not None and raw.startswith(b"//"):
+                length = offset + len(raw) - start
+                yield b"".join(buf), start, length, start_line
+                start = None
+            offset += len(raw)
+    if start is not None:
+        raise ParseError("truncated final record (no terminating '//')", start_line, str(path))
+
+
+def reference_build_index(dat_path):
+    dat_path = str(Path(dat_path).resolve())
+    records = {}
+    start_lines = {}
+    count = 0
+    for blob, offset, length, start_line in reference_iter_raw_records(dat_path):
+        try:
+            entry = parse_entry(blob.decode("utf-8"), line_offset=start_line - 1)
+        except ParseError as exc:
+            raise ParseError(exc.message, exc.line, dat_path) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"record is not UTF-8: byte {blob[exc.start]:#04x} at offset "
+                f"{offset + exc.start} ({exc.reason})", start_line, dat_path) from exc
+        count += 1
+        for acc in (entry.accession, *entry.secondary_accessions):
+            if acc in records:
+                raise IndexBuildError(
+                    f"duplicate accession {acc!r}: records at {dat_path}:{start_lines[acc]} "
+                    f"and {dat_path}:{start_line} (offsets {records[acc][0]} and {offset})"
+                )
+            records[acc] = (offset, length)
+            start_lines[acc] = start_line
+    return AnnotationIndex(dat_path=dat_path, records=records, record_count=count)
+
+
+# what may stand between records: blank and whitespace-only lines, and more
+# rarely a prefix that makes the next record's first line start with blanks,
+# or a line that is not UTF-8
+RECORD_GAPS = (b"", b"\n", b"\n\n", b"   \n", b" \t\r\n", b"\r\n", b"\x0b\x0c\n")
+FAULTY_GAPS = (b"  ", b"\xe9\n")
+
+
+def _rename_accessions(record_text, k):
+    """The record with the first letter of each AC token replaced, so records differ."""
+    return re.sub(r"(?m)^(AC   )(.*)$",
+                  lambda m: m[1] + re.sub(r"\b[A-Z](?=[A-Z0-9]{5})", "OPQR"[k], m[2]),
+                  record_text)
+
+
+@st.composite
+def flat_files(draw):
+    """Fixture records, some mutated, joined into one flat file, as bytes."""
+
+    def gap():
+        faulty = draw(st.integers(0, 9)) == 0
+        return draw(st.sampled_from(FAULTY_GAPS if faulty else RECORD_GAPS))
+
+    distinct = draw(st.booleans())
+    parts = [gap()]
+    records = st.one_of(st.sampled_from(FIXTURE_RECORDS), mutated_records())
+    for k, text in enumerate(draw(st.lists(records, max_size=4))):
+        if distinct:
+            text = _rename_accessions(text, k)
+        if draw(st.booleans()):
+            text = re.sub(r"(?m)^//$", "//junk", text, count=1)
+        if draw(st.booleans()):
+            text = text.replace("\n", "\r\n")
+        parts += [text.encode("utf-8"), gap()]
+    if draw(st.integers(0, 3)) == 0:  # a truncated tail
+        head = FIXTURE_RECORDS[draw(st.integers(0, len(FIXTURE_RECORDS) - 1))]
+        parts.append(head[: draw(st.integers(1, len(head) - 4))].encode("utf-8"))
+    data = b"".join(parts)
+    if draw(st.booleans()) and data.endswith(b"\n"):
+        data = data[:-1]
+    return data
+
+
+def _split(split, path):
+    """The records `split` yields, and the message of the ParseError that ends them."""
+    records = []
+    try:
+        records.extend(split(path))
+    except ParseError as exc:
+        return records, str(exc)
+    return records, None
+
+
+def _built(build, path):
+    """The index `build` makes of `path`, or the type and message of its refusal."""
+    try:
+        index = build(path)
+    except (ParseError, IndexBuildError) as exc:
+        return type(exc), str(exc)
+    return index.records, index.record_count
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3, 7, 64])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flat_files())
+@example(b"")
+@example(b" \n\t\n  ")
+@example(b"//\n\n//junk")
+@example(FIXTURE_RECORDS[4].encode("utf-8") + b"  ID   X\n//")
+@example(FIXTURE_RECORDS[4].encode("utf-8").replace(b"\n//\n", b"\n/\n/"))
+def test_block_splitter_and_build_match_line_loop_references(tmp_path, block_size, data):
+    dat = tmp_path / "entries.dat"
+    dat.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(annotations, "_BLOCK_SIZE", block_size)
+        assert _split(iter_raw_records, dat) == _split(reference_iter_raw_records, dat)
+        assert _built(build_index, dat) == _built(reference_build_index, dat)
+
+
+def test_record_over_many_blocks_is_read_in_linear_time(tmp_path, monkeypatch):
+    # 2 MiB in 64-byte blocks is 32768 reads: copying or searching the record's
+    # earlier blocks again at each read takes tens of gigabytes of work
+    line = "CC       /x// /x// /x// /x// /x// /x// /x// /x// /x// /x// /x/\n"
+    head = "ID   LONG_TEST               Reviewed;          10 AA.\nAC   P11111;\n"
+    text = head + line * ((2 << 20) // len(line)) + "//\n"
+    dat = tmp_path / "long.dat"
+    dat.write_text("\n" + text + "\n" + text.replace("P11111", "P22222"), encoding="utf-8")
+    monkeypatch.setattr(annotations, "_BLOCK_SIZE", 64)
+    started = time.perf_counter()
+    records = list(iter_raw_records(dat))
+    elapsed = time.perf_counter() - started
+    assert [(blob == text.encode("utf-8"), offset, length, start_line)
+            for blob, offset, length, start_line in records] == [
+        (True, 1, len(text), 2),
+        (False, len(text) + 2, len(text), text.count("\n") + 3),
+    ]
+    assert elapsed < 3.0, f"2 x 2 MiB in 64-byte blocks took {elapsed:.1f} s"
+
+
 # -- tag normalization --------------------------------------------------------
 
 def test_normalize_tag_rules():
@@ -551,6 +723,39 @@ def test_index_rebuild_is_idempotent(tmp_path):
     assert (out1 / "go_terms.tsv").read_bytes() == (out2 / "go_terms.tsv").read_bytes()
 
 
+def test_build_index_makes_no_entry_and_keeps_its_bytes(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built during index build")
+
+    monkeypatch.setattr(AnnotationSnippet, "__post_init__", refuse)
+    monkeypatch.setattr(ProteinEntry, "__post_init__", refuse)
+    build_index(DAT, FIXTURES / "go_mini.obo", tmp_path)
+    records = (tmp_path / "records.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert records[1] == f"#dat\t{DAT.resolve()}\n"
+    assert "".join(records[:1] + records[2:]) == (
+        "#homorag-index/1\n"
+        "#count\t6\n"
+        "A0A0B4J2D5\t4200\t1071\n"
+        "P12345\t4200\t1071\n"
+        "P67890\t5271\t338\n"
+        "Q3ZCD7\t1284\t2059\n"
+        "Q55C17\t0\t1284\n"
+        "Q8GW45\t5609\t623\n"
+        "Q99999\t4200\t1071\n"
+        "Q9N5Y2\t3343\t857\n"
+    )
+    assert (tmp_path / "go_terms.tsv").read_text(encoding="utf-8") == (
+        "#homorag-go/1\n"
+        "GO:0005783\tcellular_component\tendoplasmic reticulum\n"
+        "GO:0016020\tcellular_component\tmembrane\n"
+        "GO:0016301\tmolecular_function\tkinase activity\n"
+        "GO:0016491\tmolecular_function\toxidoreductase activity\n"
+        "GO:0019367\tbiological_process\tfatty acid elongation, saturated fatty acid\n"
+        "GO:0030176\tcellular_component\tintegral component of endoplasmic reticulum membrane\n"
+        "GO:0102758\tmolecular_function\tvery-long-chain enoyl-CoA reductase activity\n"
+    )
+
+
 def test_index_save_load_round_trip(tmp_path, annotation_index):
     out = tmp_path / "saved"
     annotation_index.save(out)
@@ -665,6 +870,31 @@ def test_build_index_names_flat_file_and_line(tmp_path):
         build_index(dat)
     assert str(info.value) == f"{dat.resolve()}:4: malformed ID line: 'ID   B_TEST broken'"
     assert info.value.line == 4
+
+
+def test_build_index_names_flat_file_and_line_of_an_empty_cc_topic(tmp_path):
+    dat = tmp_path / "bad.dat"
+    dat.write_text(_two_records().replace("AC   P22222;", "AC   P22222;\nCC   -!- : some text"),
+                   encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        build_index(dat)
+    assert str(info.value) == (f"{dat.resolve()}:6: CC topic line without a topic: "
+                               f"'CC   -!- : some text'")
+
+
+def test_lookup_of_an_entry_with_an_empty_cc_topic_says_to_rebuild(tmp_path):
+    dat, index = _index_over_copy(tmp_path)
+    offset, length = index.records["Q8GW45"]
+    data = dat.read_bytes()
+    at = data.index(b"CC   -!- MISCELLANEOUS:", offset)
+    # same length: the offsets still hold, the topic is gone
+    dat.write_bytes(data[:at] + b"CC   -!-              :" + data[at + 23:])
+    with pytest.raises(IndexBuildError) as info:
+        index.lookup("Q8GW45")
+    assert str(info.value).startswith(
+        f"{index.dat_path}: entry Q8GW45 at offset {offset}, length {length} does not parse")
+    assert "CC topic line without a topic" in str(info.value)
+    assert isinstance(info.value.__cause__, ParseError)
 
 
 def test_truncated_final_record_names_flat_file(tmp_path):
