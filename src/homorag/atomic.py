@@ -1,16 +1,18 @@
 """Every file the package writes or reads as text goes through this module:
-writes replace the file atomically, reads decode UTF-8 and name the fault, and
-every JSON document has the one layout of `dump_json`. `loads_json_object` also
-checks the JSON object an HTTP backend sends back."""
+writes replace the file atomically, reads decode UTF-8 and name the fault,
+every JSON document has the one layout of `dump_json`, every JSON-lines text
+that of `dump_json_lines`, and every digest of a value is `json_digest`.
+`loads_json_object` also checks the JSON object an HTTP backend sends back."""
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import threading
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -34,6 +36,17 @@ def dump_json(data) -> str:
     between tokens, non-ASCII as `\\u` escapes and a trailing newline. The
     stdlib's C encoder writes it; a value it cannot encode raises TypeError."""
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def json_digest(value) -> str:
+    """The sha256 hex digest of value's `dump_json` layout without its newline:
+    the config digest and the backend cache key."""
+    return hashlib.sha256(dump_json(value)[:-1].encode("utf-8")).hexdigest()
+
+
+def dump_json_lines(items: Iterable) -> str:
+    """Each item as one `json.dumps(item, sort_keys=True)` line ending in `\\n`."""
+    return "".join(json.dumps(item, sort_keys=True) + "\n" for item in items)
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:

@@ -8,14 +8,13 @@ Verb tree: `index build|lookup`, `retrieve`, `filter label|train|score`,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
 from .annotations import AccessionNotFound, AnnotationIndex, build_index, format_entry
-from .atomic import dump_json, read_json_object, write_atomic
+from .atomic import dump_json, dump_json_lines, read_json_object, write_atomic
 from .config import load_config
 from .denoise import vertical_filter
 from .gateway import Gateway
@@ -238,11 +237,10 @@ def _cmd_qa(args, config) -> int:
     pipeline = Pipeline(config)
     if args.subcommand == "batch":
         summary = pipeline.run_batch(args.dataset, args.out)
-        print(json.dumps(
+        print(dump_json_lines([
             {k: summary[k] for k in ("processed", "skipped_existing", "skipped_malformed",
                                      "records_with_errors", "unwritten") if k in summary},
-            sort_keys=True,
-        ))
+        ]), end="")
         return 1 if "unwritten" in summary else 0
     records = {r.id: r for r in read_dataset(args.dataset)}
     if args.id not in records:

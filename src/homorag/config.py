@@ -10,15 +10,15 @@ stamped into run metadata.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, get_args, get_type_hints
 
 import yaml
+
+from .atomic import json_digest
 
 
 class ConfigError(ValueError):
@@ -160,7 +160,7 @@ class BackendConfig:
 
     def __post_init__(self):
         if self.role not in MOCK_ENDPOINTS:
-            raise ConfigError(f"backend role must be scorer|embedder|generator, got {self.role!r}")
+            raise ConfigError(f"backend.role must be scorer|embedder|generator, got {self.role!r}")
         if not (isinstance(self.endpoint, str)
                 and self.endpoint.startswith(("mock:", "http://", "https://"))):
             raise ConfigError(
@@ -229,8 +229,7 @@ class PipelineConfig:
                                 for role, endpoint in MOCK_ENDPOINTS.items()})
 
     def digest(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return json_digest(asdict(self))
 
 
 # YAML sections: the PipelineConfig fields whose default is a section dataclass.
@@ -239,7 +238,25 @@ _SECTION_TYPES = {f.name: f.default_factory for f in fields(PipelineConfig)
 _SCALAR_KEYS = ("mode", "seed")
 
 
+def _is_a(value, kind: type) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_types(cls, data: dict, prefix: str) -> None:
+    """Refuse a value its field's annotation does not allow: an int field takes
+    no bool, a float field an int but no bool, an Optional field also None."""
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        kinds = get_args(hints[key]) or (hints[key],)  # Optional[X] is Union[X, None]
+        if not any(_is_a(value, kind) for kind in kinds):
+            names = " or ".join("None" if kind is type(None) else kind.__name__ for kind in kinds)
+            raise ConfigError(f"{prefix}{key} must be {names}, got {value!r}")
+
+
 def _build_section(cls, data: dict, where: str):
+    """The section dataclass; its own range checks run before the type check."""
     if not isinstance(data, dict):
         raise ConfigError(f"section '{where}' must be a mapping")
     valid = {f.name for f in fields(cls)}
@@ -247,9 +264,11 @@ def _build_section(cls, data: dict, where: str):
         if key not in valid:
             raise ConfigError(f"unknown key '{where}.{key}'")
     try:
-        return cls(**data)
-    except TypeError as exc:  # a required key missing, or a value of the wrong type
+        section = cls(**data)
+    except TypeError as exc:  # a required key missing, or a range check given another type
         raise ConfigError(f"section '{where}': {exc}") from exc
+    _check_types(cls, data, f"{where}.")
+    return section
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -259,6 +278,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
     kwargs: dict[str, Any] = {}
     for key, val in data.items():
         if key in _SCALAR_KEYS:
+            _check_types(PipelineConfig, {key: val}, "")
             kwargs[key] = val
         elif key in _SECTION_TYPES:
             kwargs[key] = _build_section(_SECTION_TYPES[key], val, key)
@@ -268,17 +288,16 @@ def config_from_dict(data: dict) -> PipelineConfig:
             for role, spec in val.items():
                 if role not in MOCK_ENDPOINTS:
                     raise ConfigError(f"unknown backend role 'backends.{role}'")
-                spec = dict(spec or {})
-                spec.setdefault("role", role)
-                if spec["role"] != role:
-                    raise ConfigError(f"backends.{role} declares mismatching role {spec['role']!r}")
+                spec = {} if spec is None else spec
+                if isinstance(spec, dict):  # _build_section refuses anything else
+                    spec = {"role": role, **spec}
+                    if spec["role"] != role:
+                        raise ConfigError(
+                            f"backends.{role} declares mismatching role {spec['role']!r}")
                 kwargs[role] = _build_section(BackendConfig, spec, f"backends.{role}")
         else:
             raise ConfigError(f"unknown top-level config key '{key}'")
-    try:
-        return PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PipelineConfig(**kwargs)
 
 
 def load_config(

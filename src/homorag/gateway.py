@@ -44,9 +44,7 @@ an embed request carries only the texts the gateway has not embedded yet.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import logging
 import math
 import os
@@ -61,7 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .atomic import dump_json, loads_json_object, read_json_object, write_atomic
+from .atomic import dump_json, json_digest, loads_json_object, read_json_object, write_atomic
 from .config import BackendConfig, ENV_API_KEY_VAR, GenerationParams
 from .tag_filter import TokenProbSequence
 
@@ -94,13 +92,9 @@ class GatewayError(RuntimeError):
 def _cache_name(cfg: BackendConfig, kind: str, payload: dict) -> str:
     """The cache file name of a request: its role and a digest of the role,
     endpoint, model, kind and payload."""
-    blob = json.dumps(
-        {"role": cfg.role, "endpoint": cfg.endpoint, "model": cfg.model, "kind": kind,
-         "payload": payload},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return f"{cfg.role}-{hashlib.sha256(blob.encode('utf-8')).hexdigest()}.json"
+    digest = json_digest({"role": cfg.role, "endpoint": cfg.endpoint, "model": cfg.model,
+                          "kind": kind, "payload": payload})
+    return f"{cfg.role}-{digest}.json"
 
 
 def _is_transient(exc: Exception) -> bool:

@@ -10,7 +10,6 @@ invariant to non-entity wording.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from collections import Counter
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .atomic import read_lines
+from .atomic import dump_json_lines, read_lines
 
 TOKENIZER_VERSION = "lower-wordpunct/1"
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -271,15 +270,11 @@ def render_table(rows: Sequence[MetricRow]) -> str:
 
 
 def rows_to_jsonl(rows: Sequence[MetricRow]) -> str:
-    out = []
-    for row in rows:
-        payload = {
-            "task": row.task,
-            "n_records": row.n_records,
-            "n_entity_empty": row.n_entity_empty,
-            "metric_style": "E-BLEU (lexicon)",
-            "tokenizer": TOKENIZER_VERSION,
-            **row.display(),
-        }
-        out.append(json.dumps(payload, sort_keys=True))
-    return "\n".join(out) + "\n"
+    return dump_json_lines({
+        "task": row.task,
+        "n_records": row.n_records,
+        "n_entity_empty": row.n_entity_empty,
+        "metric_style": "E-BLEU (lexicon)",
+        "tokenizer": TOKENIZER_VERSION,
+        **row.display(),
+    } for row in rows)

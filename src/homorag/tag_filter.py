@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional, Protocol, Sequence
 import numpy as np
 
 from .annotations import normalize_tag
-from .atomic import dump_json, read_json_object, read_lines, write_atomic
+from .atomic import dump_json, dump_json_lines, read_json_object, read_lines, write_atomic
 from .config import ENCODER_RECIPE, IgConfig, PipelineConfig, TrainConfig
 from .homology import EvidencePool, Stage
 
@@ -262,8 +262,7 @@ class DistillationExample:
 
 
 def write_examples(path: str | Path, examples: Iterable[DistillationExample]):
-    lines = "".join(json.dumps(ex.to_dict(), sort_keys=True) + "\n" for ex in examples)
-    write_atomic(Path(path), lines.encode("utf-8"))
+    write_atomic(Path(path), dump_json_lines(ex.to_dict() for ex in examples).encode("utf-8"))
 
 
 def read_examples(path: str | Path) -> list[DistillationExample]:

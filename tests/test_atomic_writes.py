@@ -1,7 +1,8 @@
 """Every file the package writes goes through `homorag.atomic.write_atomic`,
 every file it reads as text goes through `read_lines` or `read_json_object`
-there, which decode UTF-8 and name the fault, and every JSON document takes its
-layout from `dump_json` there. The package imports nothing beyond the standard
+there, which decode UTF-8 and name the fault, every JSON document and JSON-lines
+text takes its layout from `dump_json` or `dump_json_lines` there, and only that
+module imports `hashlib`. The package imports nothing beyond the standard
 library, numpy and PyYAML."""
 
 import ast
@@ -160,15 +161,8 @@ def json_dumps_calls(source: str) -> list[tuple[str, int, bool]]:
     return sorted(found, key=lambda call: call[1])
 
 
-# the one layout, the two digest inputs, the two JSON-lines writers and `qa batch`'s stdout line
-JSON_DUMPS_SITES = {
-    ("atomic.py", "dump_json"),
-    ("config.py", "PipelineConfig.digest"),
-    ("gateway.py", "_cache_name"),
-    ("tag_filter.py", "write_examples"),
-    ("metrics.py", "rows_to_jsonl"),
-    ("cli.py", "_cmd_qa"),
-}
+# the one document layout and the one JSON-lines layout
+JSON_DUMPS_SITES = {("atomic.py", "dump_json"), ("atomic.py", "dump_json_lines")}
 
 
 def test_scan_finds_each_json_dumps_call():
@@ -212,6 +206,15 @@ def test_scan_finds_each_absolute_import():
         "def f():", "    import scipy.sparse", "    from .config import X",
     ])
     assert absolute_imports(source) == [(1, "numpy"), (1, "os"), (2, "yaml"), (5, "scipy")]
+
+
+def test_only_atomic_module_imports_hashlib():
+    importers = {
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        if any(name == "hashlib" for _, name in
+               absolute_imports(path.read_text(encoding="utf-8")))
+    }
+    assert importers == {"atomic.py"}
 
 
 def test_package_imports_only_the_standard_library_numpy_and_yaml():

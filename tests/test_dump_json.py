@@ -1,8 +1,11 @@
 """The one layout of a JSON document: every document the package writes is
 `atomic.dump_json` of what it holds (sorted keys, `,`/`:` separators, ASCII
-`\\u` escapes, a trailing newline), and writing one leaves no cyclic garbage."""
+`\\u` escapes, a trailing newline), and writing one leaves no cyclic garbage.
+JSON lines have the one layout of `dump_json_lines`, and every digest of a
+value is `json_digest`, the sha256 of its `dump_json` layout."""
 
 import gc
+import hashlib
 import json
 import math
 
@@ -12,7 +15,7 @@ import yaml
 
 from conftest import FIXTURES, make_pipeline_config
 from homorag import cli
-from homorag.atomic import dump_json
+from homorag.atomic import dump_json, dump_json_lines, json_digest
 from homorag.config import BackendConfig, MODES
 from homorag.gateway import Gateway
 from homorag.homology import Stage
@@ -31,6 +34,19 @@ def test_dump_json_layout():
         '{"a":{"":[],"RAW":"VERTICAL"},"b":[true,1,1.0,null],"n":[NaN,-0.0,0.5],'
         '"\\u00e9":"\\ud800\\ud83e\\uddec"}\n'
     )
+
+
+def test_dump_json_lines_layout():
+    items = [{"b": [True, 1.0, None], "a": "\u00e9"}, [], "x"]
+    assert dump_json_lines(items) == '{"a": "\\u00e9", "b": [true, 1.0, null]}\n[]\n"x"\n'
+    assert dump_json_lines(iter(items)) == dump_json_lines(items)
+    assert dump_json_lines([]) == ""
+
+
+def test_json_digest_hashes_the_document_layout_without_its_newline():
+    data = {"b": [1, 0.5], "a": "\u00e9"}
+    assert json_digest(data) == hashlib.sha256(b'{"a":"\\u00e9","b":[1,0.5]}').hexdigest()
+    assert json_digest({"a": "\u00e9", "b": [1, 0.5]}) == json_digest(data)
 
 
 # object() reprs carry a memory address; a fixed id keeps the test name stable across runs

@@ -518,6 +518,9 @@ def test_malformed_response_surfaces():
     ("scorer", lambda gw, cfg: gw.score_tokens(cfg, "p", "a b"),
      {"tokens": ["a", "b"], "probs": [0.5]}, {"tokens": ["a", "b"], "probs": [0.5, 1]},
      TokenProbSequence(tokens=("a", "b"), probs=(0.5, 1.0))),
+    ("scorer", lambda gw, cfg: gw.score_tokens(cfg, "p", "a b"),
+     {"tokens": ["a", "b"], "probs": [0.5, 1.5]}, {"tokens": ["a", "b"], "probs": [0.5, 1]},
+     TokenProbSequence(tokens=("a", "b"), probs=(0.5, 1.0))),
     ("embedder", lambda gw, cfg: gw.embed(cfg, ["alpha"]),
      {"embeddings": [[float("nan"), 1.0]]}, {"embeddings": [[0.0, 1.0]]}, [[0.0, 1.0]]),
     ("embedder", lambda gw, cfg: gw.embed(cfg, ["alpha"]),
@@ -527,7 +530,7 @@ def test_malformed_response_surfaces():
     ("embedder", lambda gw, cfg: gw.embed(cfg, ["alpha", "beta"]),
      {"embeddings": [[1.0], [0.0, 1.0]]}, {"embeddings": [[1.0, 0.0], [0.0, 1.0]]},
      [[1.0, 0.0], [0.0, 1.0]]),
-], ids=["scorer-probs-short", "embedder-nan", "embedder-not-numbers", "generator-text-int",
+], ids=["scorer-probs-short", "scorer-probs-out-of-range", "embedder-nan", "embedder-not-numbers", "generator-text-int",
         "embedder-sizes"])
 def test_malformed_answer_is_retried_and_never_cached(tmp_path, role, call, bad, good, value):
     answers = [bad, bad]

@@ -1785,6 +1785,104 @@ def test_config_type_errors_name_their_section(text, section, cause):
     assert isinstance(info.value.__cause__, TypeError)
 
 
+# every refusal of a config, each named by its section and key; a case that
+# loads must still fail `validate_for_mode`
+@pytest.mark.parametrize("text, message", [
+    pytest.param("[1, 2]", "config root must be a mapping", id="root-list"),
+    pytest.param("tuning: {}", "unknown top-level config key 'tuning'", id="unknown-top-level"),
+    pytest.param("retrieval: [1]", "section 'retrieval' must be a mapping", id="section-list"),
+    pytest.param("mode: fast", f"mode must be one of {MODES}, got 'fast'", id="mode-unknown"),
+    pytest.param("mode: full_2d", "mode 'full_2d' requires paths.filter_model",
+                 id="mode-without-filter-model"),
+    pytest.param("retrieval: {top_k: 0}", "retrieval.top_k must be >= 1, got 0", id="top-k-0"),
+    pytest.param("retrieval: {identity_ceiling: 0}",
+                 "retrieval.identity_ceiling must be in (0, 1], got 0", id="ceiling-0"),
+    pytest.param("retrieval: {identity_ceiling: 1.5}",
+                 "retrieval.identity_ceiling must be in (0, 1], got 1.5", id="ceiling-above-1"),
+    pytest.param("ig: {window: 2}", "ig.window must be an odd integer >= 1, got 2",
+                 id="window-even"),
+    pytest.param("ig: {window: 0}", "ig.window must be an odd integer >= 1, got 0", id="window-0"),
+    pytest.param("ig: {head_k: -1}", "ig.head_k must be >= 0, got -1", id="head-k-negative"),
+    pytest.param("ig: {omega: 0}", "ig.omega must be in (0, 1], got 0", id="omega-0"),
+    pytest.param("ig: {alpha: 1.5}", "ig.alpha must be in [0, 1], got 1.5", id="alpha-above-1"),
+    pytest.param("ig: {tau: 0}", "ig.tau must be > 0 and finite, got 0", id="tau-0"),
+    pytest.param("ig: {tau: .inf}", "ig.tau must be > 0 and finite, got inf", id="tau-inf"),
+    pytest.param("denoise: {eps: 0}", "denoise.eps must be > 0 and finite, got 0", id="eps-0"),
+    pytest.param("denoise: {min_pts: 0}", "denoise.min_pts must be >= 1, got 0", id="min-pts-0"),
+    pytest.param("denoise: {metric: manhattan}",
+                 "denoise.metric must be 'cosine' or 'euclidean', got 'manhattan'",
+                 id="metric-unknown"),
+    pytest.param("denoise: {anchor_top_m: 0}", "denoise.anchor_top_m must be >= 1, got 0",
+                 id="anchor-top-m-0"),
+    pytest.param("train: {epochs: -1}", "train.epochs must be >= 0, got -1", id="epochs-negative"),
+    pytest.param("train: {learning_rate: 0}", "train.learning_rate must be > 0, got 0",
+                 id="learning-rate-0"),
+    pytest.param("train: {batch_size: 0}", "train.batch_size must be >= 1, got 0",
+                 id="batch-size-0"),
+    pytest.param("generation: {temperature: -0.5}",
+                 "generation.temperature must be >= 0, got -0.5", id="temperature-negative"),
+    pytest.param("generation: {top_p: 0}", "generation.top_p must be in (0, 1], got 0",
+                 id="top-p-0"),
+    pytest.param("generation: {max_tokens: 0}", "generation.max_tokens must be >= 1, got 0",
+                 id="max-tokens-0"),
+    pytest.param("backends: [scorer]", "section 'backends' must be a mapping", id="backends-list"),
+    pytest.param("backends: {critic: {endpoint: 'mock:echo'}}",
+                 "unknown backend role 'backends.critic'", id="backend-role-unknown"),
+    pytest.param("backends: {scorer: {role: embedder, endpoint: 'mock:hash(dim=8)'}}",
+                 "backends.scorer declares mismatching role 'embedder'",
+                 id="backend-role-mismatch"),
+    pytest.param("backends: {scorer: {endpoint: 'mock:uniform(0.5)', max_in_flight: 0}}",
+                 "backend.max_in_flight must be >= 1, got 0", id="max-in-flight-0"),
+    pytest.param("backends: {scorer: {endpoint: 'mock:uniform(0.5)', max_retries: -1}}",
+                 "backend.max_retries must be >= 0, got -1", id="max-retries-negative"),
+    pytest.param("backends: {generator: 'mock:echo'}",
+                 "section 'backends.generator' must be a mapping", id="backend-string"),
+    pytest.param("backends: {generator: 5}",
+                 "section 'backends.generator' must be a mapping", id="backend-int"),
+    pytest.param("seed: x", "seed must be int, got 'x'", id="seed-string"),
+    pytest.param("seed: 1.5", "seed must be int, got 1.5", id="seed-float"),
+    pytest.param("seed: true", "seed must be int, got True", id="seed-bool"),
+    pytest.param("mode: 5", "mode must be str, got 5", id="mode-int"),
+    pytest.param("retrieval: {top_k: 2.5}", "retrieval.top_k must be int, got 2.5",
+                 id="top-k-float"),
+    pytest.param("retrieval: {exclude_self: 'false'}",
+                 "retrieval.exclude_self must be bool, got 'false'", id="exclude-self-string"),
+    pytest.param("retrieval: {identity_ceiling: true}",
+                 "retrieval.identity_ceiling must be float or None, got True",
+                 id="ceiling-bool"),
+    pytest.param("denoise: {eps: true}", "denoise.eps must be float, got True", id="eps-bool"),
+    pytest.param("generation: {max_tokens: 16.0}",
+                 "generation.max_tokens must be int, got 16.0", id="max-tokens-float"),
+    pytest.param("blast: {max_target_seqs: '50'}",
+                 "blast.max_target_seqs must be int, got '50'", id="max-target-seqs-string"),
+    pytest.param("paths: {hits: 5}", "paths.hits must be str or None, got 5", id="hits-int"),
+    pytest.param("backends: {generator: {endpoint: 'mock:echo', max_retries: true}}",
+                 "backends.generator.max_retries must be int, got True",
+                 id="max-retries-bool"),
+])
+def test_config_refusals_name_their_key(text, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_dict(yaml.safe_load(text)).validate_for_mode()
+
+
+def test_backend_config_refuses_an_unknown_role():
+    with pytest.raises(ConfigError, match=r"^backend\.role must be scorer\|embedder\|generator, "
+                                          "got 'critic'$"):
+        BackendConfig(role="critic", endpoint="mock:echo")
+
+
+@pytest.mark.parametrize("text, section, key, value", [
+    ("denoise: {eps: 1}", "denoise", "eps", 1),
+    ("generation: {temperature: 1}", "generation", "temperature", 1),
+    ("retrieval: {identity_ceiling: 1}", "retrieval", "identity_ceiling", 1),
+    ("retrieval: {identity_ceiling: null}", "retrieval", "identity_ceiling", None),
+    ("paths: {hits: null}", "paths", "hits", None),
+    ("backends: {scorer: {endpoint: 'mock:uniform(0.5)', timeout: 5}}", "scorer", "timeout", 5),
+], ids=["eps-int", "temperature-int", "ceiling-int", "ceiling-null", "hits-null", "timeout-int"])
+def test_config_takes_ints_for_floats_and_null_where_optional(text, section, key, value):
+    assert getattr(getattr(config_from_dict(yaml.safe_load(text)), section), key) == value
+
+
 def test_load_config_seed_override(tmp_path):
     config_path = tmp_path / "c.yaml"
     config_path.write_text(yaml.safe_dump({"seed": 7}), encoding="utf-8")
