@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .atomic import read_lines, write_atomic
+from .atomic import FileReader, read_lines, write_atomic
 
 INDEX_FORMAT = "homorag-index/1"
 GO_FORMAT = "homorag-go/1"
@@ -353,6 +353,11 @@ class AnnotationIndex:
     first. An entry looked up only once is not kept: when no hit repeats, a
     kept entry would only add garbage-collector work (tail latency). Any
     number of concurrent readers is safe.
+
+    The first lookup that reads the flat file opens it, once: every later
+    read is one `os.pread` on that descriptor, which reads the file it opened
+    even after a rebuild replaces the path. It is closed when the index is
+    collected.
     """
 
     dat_path: str
@@ -364,6 +369,7 @@ class AnnotationIndex:
     _seen: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
     _parsed_lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False)
+    _reader: Optional[FileReader] = field(default=None, init=False, repr=False, compare=False)
 
     def lookup(self, accession: str) -> ProteinEntry:
         entry = self._parsed.get(accession)
@@ -373,10 +379,15 @@ class AnnotationIndex:
         if loc is None:
             raise AccessionNotFound(accession)
         offset, length = loc
-        with open(self.dat_path, "rb") as fh:
-            fh.seek(offset)
-            blob = fh.read(length)
+        if self._reader is None:
+            with self._parsed_lock:
+                if self._reader is None:
+                    self._reader = FileReader(self.dat_path)
+        blob = self._reader.read_at(offset, length)
         try:
+            if len(blob) < length:
+                raise ParseError(f"the flat file ends after {len(blob)} of the entry's "
+                                 f"{length} bytes", blob.count(b"\n") + 1)
             entry = parse_entry(blob.decode("utf-8"))
         except (ParseError, UnicodeDecodeError) as exc:
             raise IndexBuildError(

@@ -2,7 +2,8 @@
 writes replace the file atomically, reads decode UTF-8 and name the fault,
 every JSON document has the one layout of `dump_json`, every JSON-lines text
 that of `dump_json_lines`, and every digest of a value is `json_digest`.
-`loads_json_object` also checks the JSON object an HTTP backend sends back."""
+`loads_json_object` also checks the JSON object an HTTP backend sends back,
+and a `FileReader` reads byte ranges of a file from any number of threads."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import hashlib
 import json
 import os
 import threading
+import weakref
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -79,3 +81,17 @@ def read_json_object(path: str | Path) -> dict:
     """The JSON object that path holds, checked by `loads_json_object`; OSError passes."""
     with open(path, "rb") as fh:
         return loads_json_object(fh.read(), path)
+
+
+class FileReader:
+    """One read-only descriptor on a file, for reads at an offset from any
+    number of threads. It goes on reading the file it opened after the path is
+    renamed or replaced, and is closed when the reader is collected."""
+
+    def __init__(self, path: str | Path):
+        self._fd = os.open(path, os.O_RDONLY)  # not inherited by child processes (PEP 446)
+        weakref.finalize(self, os.close, self._fd)
+
+    def read_at(self, offset: int, length: int) -> bytes:
+        """The length bytes at offset, fewer where the file ends first: one `os.pread`."""
+        return os.pread(self._fd, length, offset)

@@ -182,6 +182,12 @@ class BlastConfig:
     evalue: float = 10.0
     max_target_seqs: int = 50
 
+    def __post_init__(self):
+        if not (self.evalue > 0.0 and math.isfinite(self.evalue)):
+            raise ConfigError(f"blast.evalue must be > 0 and finite, got {self.evalue}")
+        if self.max_target_seqs < 1:
+            raise ConfigError(f"blast.max_target_seqs must be >= 1, got {self.max_target_seqs}")
+
 
 @dataclass
 class PipelinePaths:
@@ -256,19 +262,18 @@ def _check_types(cls, data: dict, prefix: str) -> None:
 
 
 def _build_section(cls, data: dict, where: str):
-    """The section dataclass; its own range checks run before the type check."""
+    """The section dataclass; the type check runs before its own range checks."""
     if not isinstance(data, dict):
         raise ConfigError(f"section '{where}' must be a mapping")
     valid = {f.name for f in fields(cls)}
     for key in data:
         if key not in valid:
             raise ConfigError(f"unknown key '{where}.{key}'")
-    try:
-        section = cls(**data)
-    except TypeError as exc:  # a required key missing, or a range check given another type
-        raise ConfigError(f"section '{where}': {exc}") from exc
     _check_types(cls, data, f"{where}.")
-    return section
+    try:
+        return cls(**data)
+    except TypeError as exc:  # a required key missing
+        raise ConfigError(f"section '{where}': {exc}") from exc
 
 
 def config_from_dict(data: dict) -> PipelineConfig:

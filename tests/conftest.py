@@ -1,6 +1,7 @@
 """Shared fixtures: the fixture corpus index, a trained tag filter, and
 synthetic rule-based distillation sets."""
 
+import os
 import random
 from pathlib import Path
 
@@ -117,6 +118,12 @@ def trained_model(filter_model_path):
     from homorag.tag_filter import FilterModel
 
     return FilterModel.load(filter_model_path)
+
+
+def open_descriptors(path) -> int:
+    """How many of this process's descriptors are open on path (reads /proc/self/fd)."""
+    fds = Path("/proc/self/fd")
+    return sum(os.path.realpath(fds / fd) == str(Path(path).resolve()) for fd in os.listdir(fds))
 
 
 def make_pipeline_config(index_dir, filter_model_path, work_dir, mode="full_2d", seed=0):

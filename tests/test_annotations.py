@@ -1,5 +1,6 @@
 """Flat-file parser, GO resolution, and index behavior."""
 
+import os
 import re
 import shutil
 import time
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from conftest import open_descriptors
 
 import homorag.annotations as annotations
 from homorag.annotations import (
@@ -641,11 +644,75 @@ def test_lookup_reuses_parsed_entry_after_flat_file_moves(tmp_path):
     dat, index = _index_over_copy(tmp_path)
     first = index.lookup("Q55C17")
     assert index.lookup("Q55C17") == first  # the second lookup keeps the entry
-    index.lookup("Q3ZCD7")                  # looked up once: not kept
+    once = index.lookup("Q3ZCD7")           # looked up once: not kept
     dat.rename(tmp_path / "moved.dat")
     assert index.lookup("Q55C17") == first
+    # read again, from the file the index opened at its first lookup: the rename keeps it open
+    assert "Q3ZCD7" not in index._parsed
+    assert index.lookup("Q3ZCD7") == once == parse_entry(
+        _record_text(index, "Q3ZCD7", tmp_path / "moved.dat"))
+
+
+def test_flat_file_missing_at_the_first_lookup_fails_that_lookup(tmp_path):
+    dat, index = _index_over_copy(tmp_path)
+    dat.rename(tmp_path / "moved.dat")
     with pytest.raises(FileNotFoundError):
-        index.lookup("Q3ZCD7")
+        index.lookup("Q55C17")
+    (tmp_path / "moved.dat").rename(dat)
+    assert index.lookup("Q55C17").accession == "Q55C17"  # a failed open is tried again
+
+
+def test_fresh_load_reads_the_flat_file_a_rebuild_put_in_place(tmp_path):
+    dat, _ = _index_over_copy(tmp_path)
+    build_index(dat, out_dir=tmp_path / "index")
+    old = AnnotationIndex.load(tmp_path / "index")
+    before = old.lookup("Q55C17")
+    # a new file at the same path, with Q55C17's text changed and every later offset moved
+    new = tmp_path / "new.dat"
+    new.write_text(dat.read_text(encoding="utf-8").replace(
+        "Catalyzes the last of the four reactions", "Catalyzes the final reaction"),
+        encoding="utf-8")
+    os.replace(new, dat)
+    build_index(dat, out_dir=tmp_path / "index")
+    after = {acc: AnnotationIndex.load(tmp_path / "index").lookup(acc)
+             for acc in ("Q55C17", "Q8GW45")}
+    assert after["Q55C17"].snippets[0].value.startswith("Catalyzes the final reaction")
+    assert after["Q8GW45"] == old.lookup("Q8GW45")
+    assert old.lookup("Q55C17") == before  # the index loaded first reads the file it opened
+
+
+@pytest.mark.parametrize("opened", [False, True], ids=["cut-before-open", "cut-after-open"])
+def test_lookup_of_an_entry_the_flat_file_cuts_short_asks_for_a_rebuild(tmp_path, opened):
+    dat, index = _index_over_copy(tmp_path)
+    if opened:
+        index.lookup("Q55C17")
+    offset, length = index.records["Q8GW45"]
+    text = _record_text(index, "Q8GW45")
+    kept = text[:text.index("CC   -!- DOMAIN")]
+    assert parse_entry(kept).accession == "Q8GW45"  # the cut leaves a prefix that parses alone
+    os.truncate(dat, offset + len(kept))
+    message = (f"{index.dat_path}: entry Q8GW45 at offset {offset}, length {length} does not "
+               f"parse (line 7: the flat file ends after {len(kept)} of the entry's {length} "
+               "bytes); rebuild the index")
+    with pytest.raises(IndexBuildError, match=f"^{re.escape(message)}$") as info:
+        index.lookup("Q8GW45")
+    assert isinstance(info.value.__cause__, ParseError)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_index_opens_one_descriptor_at_its_first_lookup_and_closes_it_when_collected(tmp_path):
+    dat, _ = _index_over_copy(tmp_path)
+    build_index(dat, out_dir=tmp_path / "index")
+    index = AnnotationIndex.load(tmp_path / "index")
+    assert open_descriptors(dat) == 0
+    for acc in ("Q55C17", "Q3ZCD7", "Q55C17", "Q9N5Y2"):
+        index.lookup(acc)
+    assert open_descriptors(dat) == 1
+    del index
+    assert open_descriptors(dat) == 0
+    for _ in range(200):
+        AnnotationIndex.load(tmp_path / "index").lookup("Q55C17")
+    assert open_descriptors(dat) == 0
 
 
 def test_lookup_unknown_accession_is_never_cached(tmp_path):
@@ -708,9 +775,9 @@ def test_lookup_cache_under_concurrent_readers(tmp_path, monkeypatch):
     assert index._parsed  # repeated lookups were served from the cache
 
 
-def _record_text(index, accession):
+def _record_text(index, accession, dat_path=None):
     offset, length = index.records[accession]
-    with open(index.dat_path, "rb") as fh:
+    with open(dat_path or index.dat_path, "rb") as fh:
         fh.seek(offset)
         return fh.read(length).decode("utf-8")
 

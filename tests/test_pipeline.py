@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import FIXTURES, make_pipeline_config
+from conftest import FIXTURES, make_pipeline_config, open_descriptors
 from homorag import cli
-from homorag.annotations import AnnotationIndex, parse_go_file
+from homorag.annotations import AnnotationIndex, build_index, parse_go_file
 from homorag import config as config_module
 from homorag.config import (
     ENCODER_RECIPE,
@@ -88,8 +88,6 @@ def pipeline(index_dir_module, filter_model_module, module_work):
 
 @pytest.fixture(scope="module")
 def index_dir_module(tmp_path_factory):
-    from homorag.annotations import build_index
-
     out = tmp_path_factory.mktemp("index-module")
     build_index(FIXTURES / "swissprot_mini.dat", FIXTURES / "go_mini.obo", out)
     return out
@@ -217,6 +215,23 @@ def test_case_study_full_pipeline(pipeline, records):
     assert artifact.answer is not None
     for line in lines:
         assert line in artifact.answer
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_pipelines_built_and_dropped_leave_no_descriptor_open(filter_model_module, tmp_path,
+                                                              records):
+    dat = tmp_path / "entries.dat"
+    shutil.copy(FIXTURES / "swissprot_mini.dat", dat)
+    build_index(dat, FIXTURES / "go_mini.obo", tmp_path / "index")
+    config = make_pipeline_config(tmp_path / "index", filter_model_module, tmp_path)
+    pipe = Pipeline(config)
+    assert open_descriptors(dat) == 0
+    assert pipe.run_query(records["case-r1"]).errors == []
+    assert open_descriptors(dat) == 1
+    del pipe
+    for _ in range(200):
+        assert Pipeline(config).run_query(records["case-r1"]).errors == []
+    assert open_descriptors(dat) == 0
 
 
 def test_raw_only_mode_has_no_filter_snapshots(index_dir_module, filter_model_module, tmp_path, records):
@@ -1748,7 +1763,7 @@ def test_load_config_rejects_removed_keys(tmp_path, payload):
 @pytest.mark.parametrize("text, message", [
     ("generation: {temperature: .nan}", "generation.temperature must be finite, got nan"),
     ("generation: {presence_penalty: .inf}", "generation.presence_penalty must be finite, got inf"),
-    ("generation: {max_tokens: .inf}", "generation.max_tokens must be finite, got inf"),
+    ("generation: {max_tokens: .inf}", "generation.max_tokens must be int, got inf"),
     ("denoise: {eps: .nan}", "denoise.eps must be > 0 and finite, got nan"),
     ("ig: {tau: .nan}", "ig.tau must be > 0 and finite, got nan"),
     ("backends: {scorer: {endpoint: 'http://b.test', timeout: 0}}",
@@ -1776,8 +1791,7 @@ def test_config_refuses_values_a_request_cannot_carry(text, message):
 @pytest.mark.parametrize("text, section, cause", [
     ("backends: {scorer: {timeout: 5}}", "backends.scorer",
      "missing 1 required positional argument: 'endpoint'"),
-    ("denoise: {eps: '0.3'}", "denoise", "'>' not supported between instances of 'str'"),
-], ids=["backend-without-endpoint", "eps-as-string"])
+], ids=["backend-without-endpoint"])
 def test_config_type_errors_name_their_section(text, section, cause):
     with pytest.raises(ConfigError, match=f"^section '{re.escape(section)}': ") as info:
         config_from_dict(yaml.safe_load(text))
@@ -1825,6 +1839,14 @@ def test_config_type_errors_name_their_section(text, section, cause):
                  id="top-p-0"),
     pytest.param("generation: {max_tokens: 0}", "generation.max_tokens must be >= 1, got 0",
                  id="max-tokens-0"),
+    pytest.param("blast: {evalue: 0}", "blast.evalue must be > 0 and finite, got 0",
+                 id="evalue-0"),
+    pytest.param("blast: {evalue: -1.0}", "blast.evalue must be > 0 and finite, got -1.0",
+                 id="evalue-negative"),
+    pytest.param("blast: {evalue: .nan}", "blast.evalue must be > 0 and finite, got nan",
+                 id="evalue-nan"),
+    pytest.param("blast: {max_target_seqs: 0}", "blast.max_target_seqs must be >= 1, got 0",
+                 id="max-target-seqs-0"),
     pytest.param("backends: [scorer]", "section 'backends' must be a mapping", id="backends-list"),
     pytest.param("backends: {critic: {endpoint: 'mock:echo'}}",
                  "unknown backend role 'backends.critic'", id="backend-role-unknown"),
@@ -1851,6 +1873,8 @@ def test_config_type_errors_name_their_section(text, section, cause):
                  "retrieval.identity_ceiling must be float or None, got True",
                  id="ceiling-bool"),
     pytest.param("denoise: {eps: true}", "denoise.eps must be float, got True", id="eps-bool"),
+    pytest.param("denoise: {eps: '0.3'}", "denoise.eps must be float, got '0.3'",
+                 id="eps-as-string"),
     pytest.param("generation: {max_tokens: 16.0}",
                  "generation.max_tokens must be int, got 16.0", id="max-tokens-float"),
     pytest.param("blast: {max_target_seqs: '50'}",
