@@ -18,15 +18,13 @@ sys.path.insert(0, str(ROOT / "tests"))
 from conftest import PIPELINE_TYPES, make_pipeline_config, make_synthetic_examples, split_examples  # noqa: E402
 from homorag.annotations import build_index  # noqa: E402
 from homorag.config import MODE_STAGES  # noqa: E402
-from homorag.homology import EvidencePool  # noqa: E402
 from homorag.pipeline import Pipeline, read_dataset  # noqa: E402
 from homorag.tag_filter import train_filter  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures"
 
 
-def show_pool(title, pool_dict):
-    pool = EvidencePool.from_dict(pool_dict)
+def show_pool(title, pool):
     print(f"\n=== {title} ({len(pool.snippets())} snippets) ===")
     for homolog in pool.homologs:
         for snippet in homolog.snippets:

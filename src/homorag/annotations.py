@@ -437,7 +437,8 @@ class AnnotationIndex:
     @classmethod
     def load(cls, index_dir: str | Path) -> "AnnotationIndex":
         """Read a saved index; a wrong header, a malformed row or a line that
-        is not UTF-8 raises a ValueError naming path:line."""
+        is not UTF-8 raises a ValueError naming path:line, and a `records.tsv`
+        without its `#dat` line one naming that path."""
         index_dir = Path(index_dir)
         records: dict[str, tuple[int, int]] = {}
         dat_path = ""
@@ -454,6 +455,8 @@ class AnnotationIndex:
                     records[acc] = (int(off), int(length))
             except ValueError as exc:
                 raise IndexBuildError(f"{path}:{line_no}: malformed row {line!r}") from exc
+        if not dat_path:
+            raise IndexBuildError(f"{path}: no #dat line naming the flat file; rebuild the index")
         go_terms: dict[str, GoTerm] = {}
         path = index_dir / "go_terms.tsv"
         if path.exists():

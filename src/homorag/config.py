@@ -122,6 +122,8 @@ class TrainConfig:
             raise ConfigError(f"train.epochs must be >= 0, got {self.epochs}")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"train.learning_rate must be > 0, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError(f"train.learning_rate must be finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
 

@@ -12,6 +12,7 @@ rows and `format_hits` writes them.
 from __future__ import annotations
 
 import enum
+import math
 import shutil
 import subprocess
 from collections import Counter
@@ -52,7 +53,8 @@ def check_residues(sequence: str, owner: str) -> None:
 @dataclass(frozen=True)
 class HomologHit:
     """One alignment record; percent identity is cross-checked against
-    nident/length to +-0.05 (the producing tool rounds to 2 decimals)."""
+    nident/length to +-0.05 (the producing tool rounds to 2 decimals), and a
+    non-finite identity, e-value or bitscore is refused."""
 
     query_id: str
     subject_accession: str
@@ -63,6 +65,10 @@ class HomologHit:
     bitscore: float
 
     def __post_init__(self):
+        for name in ("percent_identity", "e_value", "bitscore"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alignment_length < 1:
             raise ValueError(f"alignment_length must be >= 1, got {self.alignment_length}")
         if not (0 <= self.identity_count <= self.alignment_length):

@@ -147,7 +147,7 @@ class RunArtifact:
     code_version: str
     hits: list = field(default_factory=list)            # all parsed hits, input order
     selected_hits: list = field(default_factory=list)   # ranked survivors
-    pools: dict = field(default_factory=dict)           # stage name -> pool dict
+    pools: dict = field(default_factory=dict)           # stage name -> EvidencePool
     context: str = ""
     prompt: str = ""
     answer: Optional[str] = None
@@ -167,7 +167,7 @@ class RunArtifact:
             "code_version": self.code_version,
             "hits": [h.to_dict() for h in self.hits],
             "selected_hits": [h.to_dict() for h in self.selected_hits],
-            "pools": self.pools,
+            "pools": {name: pool.to_dict() for name, pool in self.pools.items()},
             "context": self.context,
             "prompt": self.prompt,
             "answer": self.answer,
@@ -327,7 +327,7 @@ class Pipeline:
                 if self.index is None:
                     raise RuntimeError("no annotation index configured (paths.index_dir)")
                 pool = assemble_raw_pool(selected, self.index, cfg.retrieval.resolve_go)
-        artifact.pools["raw"] = pool.to_dict()  # the empty pool when retrieval failed
+        artifact.pools["raw"] = pool  # the empty pool when retrieval failed
         artifact.warnings.extend(pool.warnings)
 
         for name in MODE_STAGES[cfg.mode]:
@@ -338,7 +338,7 @@ class Pipeline:
                     pool, artifact.context, warnings = vertical_filter(
                         pool, self.gateway.embedder_handle(cfg.embedder), cfg.denoise)
                     artifact.warnings.extend(warnings)
-                artifact.pools[name] = pool.to_dict()
+                artifact.pools[name] = pool
         if "vertical" not in artifact.pools:  # no vertical stage rendered the final pool
             artifact.context = render_context(pool)
 

@@ -21,7 +21,7 @@ import json
 import math
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
@@ -440,6 +440,8 @@ class FilterModel:
         bias, stored, metadata = payload["bias"], payload["weights"], payload.get("metadata", {})
         if type(bias) not in (int, float):
             raise fault(f"model bias {bias!r} is not a number")
+        if not math.isfinite(bias):
+            raise fault(f"model bias is {bias!r}, not finite")
         if not isinstance(stored, dict) or not isinstance(metadata, dict):
             raise fault("model weights and metadata must be JSON objects")
         weights = {}
@@ -449,6 +451,8 @@ class FilterModel:
                 raise fault(f"weight key {key!r} is not an integer in [0, {FEATURE_DIM})")
             if type(value) not in (int, float):
                 raise fault(f"weight {key} is {value!r}, not a number")
+            if not math.isfinite(value):
+                raise fault(f"weight {key} is {value!r}, not finite")
             weights[index] = float(value)
         return cls(weights=weights, bias=bias, metadata=metadata)
 

@@ -861,6 +861,18 @@ def test_load_names_file_and_line_of_a_cut_off_row(tmp_path, annotation_index):
         AnnotationIndex.load(out)
 
 
+def test_load_refuses_records_without_their_dat_line(tmp_path, annotation_index):
+    out = tmp_path / "index"
+    annotation_index.save(out)
+    records = out / "records.tsv"
+    lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].startswith("#dat\t")
+    records.write_text("".join(lines[:1] + lines[2:]), encoding="utf-8")
+    with pytest.raises(IndexBuildError) as info:
+        AnnotationIndex.load(out)
+    assert str(info.value) == f"{records}: no #dat line naming the flat file; rebuild the index"
+
+
 def test_lookup_through_a_row_cut_inside_its_length_says_to_rebuild(tmp_path, annotation_index):
     out = tmp_path / "index"
     annotation_index.save(out)

@@ -101,6 +101,19 @@ def test_parse_rejects_inconsistent_pident():
         parse_blast_tabular(io.StringIO("q1\tQ55C17\t80.00\t100\t90\t1e-10\t200\n"))
 
 
+@pytest.mark.parametrize("row, name, value", [
+    ("q1\tQ55C17\tnan\t100\t90\t1e-10\t200\n", "percent_identity", "nan"),
+    ("q1\tQ55C17\t90.00\t100\t90\tnan\t200\n", "e_value", "nan"),
+    ("q1\tQ55C17\t90.00\t100\t90\t1e-10\tinf\n", "bitscore", "inf"),
+], ids=["pident", "evalue", "bitscore"])
+def test_load_hits_refuses_a_non_finite_number_at_its_row(tmp_path, row, name, value):
+    path = tmp_path / "hits.tsv"
+    path.write_text("q1\tQ3ZCD7\t90.00\t100\t90\t1e-10\t200\n" + row, encoding="utf-8")
+    with pytest.raises(BlastParseError) as info:
+        load_hits(path)
+    assert str(info.value) == f"{path}:2: {name} must be finite, got {value}"
+
+
 def test_parse_preserves_order_and_skips_comments():
     hits = parse_blast_tabular(io.StringIO(
         "# comment line\n"

@@ -239,8 +239,7 @@ def test_raw_only_mode_has_no_filter_snapshots(index_dir_module, filter_model_mo
     artifact = Pipeline(config).run_query(records["case-r1"])
     assert set(artifact.pools) == {"raw"}
     # context renders every raw snippet
-    raw_count = sum(len(h["snippets"]) for h in artifact.pools["raw"]["homologs"])
-    assert len(artifact.context.splitlines()) == raw_count
+    assert len(artifact.context.splitlines()) == len(artifact.pools["raw"].snippets())
 
 
 def test_horizontal_only_mode(index_dir_module, filter_model_module, tmp_path, records):
@@ -248,8 +247,7 @@ def test_horizontal_only_mode(index_dir_module, filter_model_module, tmp_path, r
                                   mode="horizontal_only")
     artifact = Pipeline(config).run_query(records["case-r1"])
     assert set(artifact.pools) == {"raw", "horizontal"}
-    kept_tags = {s["tag"] for h in artifact.pools["horizontal"]["homologs"]
-                 for s in h["snippets"]}
+    kept_tags = {s.tag for s in artifact.pools["horizontal"].snippets()}
     assert kept_tags == {"CATALYTIC ACTIVITY"}
 
 
@@ -260,23 +258,13 @@ def test_vertical_only_clusters_raw_pool(index_dir_module, filter_model_module, 
     assert set(artifact.pools) == {"raw", "vertical"}
 
 
-def stage_counter(pool_dict):
-    from collections import Counter
-
-    return Counter(
-        (s["tag"], s["value"], s["source_accession"], s["homolog_rank"])
-        for h in pool_dict["homologs"] for s in h["snippets"]
-    )
-
-
 def test_mode_lattice_on_fixture_records(index_dir_module, filter_model_module, tmp_path, records):
     config = make_pipeline_config(index_dir_module, filter_model_module, tmp_path)
     pipe = Pipeline(config)
     for record in records.values():
         artifact = pipe.run_query(record)
-        raw = stage_counter(artifact.pools["raw"])
-        hor = stage_counter(artifact.pools["horizontal"])
-        ver = stage_counter(artifact.pools["vertical"])
+        raw, hor, ver = (artifact.pools[s].snippet_multiset()
+                         for s in ("raw", "horizontal", "vertical"))
         assert ver <= hor <= raw
 
 
@@ -309,6 +297,24 @@ def test_replay_matches_stored_context(pipeline, records):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_run_query_serializes_no_pool(index_dir_module, filter_model_module, tmp_path, records,
+                                      monkeypatch, mode):
+    pipe = Pipeline(make_pipeline_config(index_dir_module, filter_model_module, tmp_path,
+                                         mode=mode))
+
+    def refuse(pool):
+        raise AssertionError("run_query serialized a pool")
+
+    monkeypatch.setattr(EvidencePool, "to_dict", refuse)
+    artifact = pipe.run_query(records["case-r1"])
+    monkeypatch.undo()
+    assert artifact.errors == [] and set(artifact.pools) == {"raw", *MODE_STAGES[mode]}
+    pipe.run_batch(FIXTURES / "qa_records.jsonl", tmp_path / "run")
+    written = (tmp_path / "run" / "artifacts" / "case-r1.json").read_bytes()
+    assert artifact.canonical_json().encode() == written
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_run_query_renders_its_context_once(index_dir_module, filter_model_module, tmp_path,
                                             records, monkeypatch, mode):
     rendered = []
@@ -324,7 +330,7 @@ def test_run_query_renders_its_context_once(index_dir_module, filter_model_modul
     final = ("raw", *MODE_STAGES[mode])[-1]
     for record in records.values():
         artifact = pipe.run_query(record)
-        assert artifact.context == render_context(EvidencePool.from_dict(artifact.pools[final]))
+        assert artifact.context == render_context(artifact.pools[final])
     assert rendered == [Stage[final.upper()]] * len(records)
 
 
@@ -381,8 +387,7 @@ def _expected_errors(fault, mode, clean):
     if fault == "score_tags" and "horizontal" in stages:
         return [{"stage": "horizontal", "error": "RuntimeError: injected score_tags fault"}]
     if fault == "embed" and "vertical" in stages:
-        entering = clean.pools["horizontal" if "horizontal" in stages else "raw"]
-        n = len(EvidencePool.from_dict(entering).snippets())
+        n = len(clean.pools["horizontal" if "horizontal" in stages else "raw"].snippets())
         # a pool below min_pts (the empty one too) cannot form a cluster, so it
         # passes the vertical stage without an embedding request
         if n < DenoiseConfig().min_pts:
@@ -412,14 +417,14 @@ def test_stage_failure_stays_in_its_stage(index_dir_module, filter_model_module,
         # a failed filter stage leaves no snapshot; a failed retrieval leaves the empty raw pool
         assert set(artifact.pools) == {"raw", *stages} - failed
         if "retrieval" in failed:
-            assert artifact.pools["raw"] == EvidencePool(stage=Stage.RAW, homologs=()).to_dict()
+            assert artifact.pools["raw"] == EvidencePool(stage=Stage.RAW, homologs=())
         else:
             # the pool carries on from the last good stage: the mode without the failed one
             kept = tuple(s for s in stages if s not in failed)
             ref = fault_free[next(m for m, s in MODE_STAGES.items() if s == kept)][rid]
             assert (artifact.pools, artifact.warnings) == (ref.pools, ref.warnings)
         last_good = [s for s in ("raw", *stages) if s in artifact.pools][-1]
-        assert artifact.context == render_context(EvidencePool.from_dict(artifact.pools[last_good]))
+        assert artifact.context == render_context(artifact.pools[last_good])
         assert artifact.prompt == build_prompt(record, artifact.context)
         assert (artifact.answer is None) == (fault == "generate")
         assert tuple(artifact.timings) == ("retrieval", *stages, "generation")
@@ -1461,7 +1466,7 @@ def test_cli_denoise(index_dir_module, filter_model_module, tmp_path, capsys, re
     pipe = Pipeline(config)
     artifact = pipe.run_query(records["case-r1"])
     pool_path = tmp_path / "pool.json"
-    pool_path.write_text(json.dumps(artifact.pools["horizontal"]), encoding="utf-8")
+    pool_path.write_text(json.dumps(artifact.pools["horizontal"].to_dict()), encoding="utf-8")
     rc = cli.main(["--offline", "denoise", "--pool", str(pool_path),
                    "--eps", "0.35", "--min-pts", "2", "--anchor-top", "1"])
     assert rc == 0
@@ -1474,23 +1479,25 @@ def test_cli_denoise_matches_pipeline_vertical_stage(pipeline, tmp_path, capsys,
     for record_id in ("case-r1", "func-r1", "dom-r2"):
         artifact = pipeline.run_query(records[record_id])
         pool_path = tmp_path / f"{record_id}.json"
-        pool_path.write_text(json.dumps(artifact.pools["horizontal"]), encoding="utf-8")
+        pool_path.write_text(json.dumps(artifact.pools["horizontal"].to_dict()),
+                             encoding="utf-8")
         out_path = tmp_path / f"{record_id}-vertical.json"
         rc = cli.main(["--offline", "denoise", "--pool", str(pool_path), "--out", str(out_path)])
         assert rc == 0
         assert capsys.readouterr().out == artifact.context + "\n"
-        assert json.loads(out_path.read_text(encoding="utf-8")) == artifact.pools["vertical"]
+        assert (json.loads(out_path.read_text(encoding="utf-8"))
+                == artifact.pools["vertical"].to_dict())
 
 
 def test_cli_denoise_reads_denoise_section(pipeline, tmp_path, capsys, records):
     artifact = pipeline.run_query(records["case-r1"])
     pool_path = tmp_path / "pool.json"
-    pool_path.write_text(json.dumps(artifact.pools["raw"]), encoding="utf-8")
+    pool = artifact.pools["raw"]
+    pool_path.write_text(json.dumps(pool.to_dict()), encoding="utf-8")
     config_path = tmp_path / "c.yaml"
     config_path.write_text(yaml.safe_dump({"denoise": {"eps": 0.9, "anchor_top_m": 2}}),
                            encoding="utf-8")
     config = load_config(config_path, offline=True)
-    pool = EvidencePool.from_dict(artifact.pools["raw"])
     embedder = Gateway().embedder_handle(config.embedder)
     expected = render_context(vertical_filter(pool, embedder, config.denoise)[0])
     default = render_context(vertical_filter(pool, embedder, DenoiseConfig())[0])
@@ -1609,7 +1616,11 @@ def test_cli_filter_score_names_a_malformed_model(tmp_path, capsys):
     ({}, "KeyError: 'stage'"),
     ({"stage": "RAW", "homologs": [{"rank": 1, "hit": {}}]}, "KeyError: 'snippets'"),
     ({"stage": "BOGUS", "homologs": []}, "ValueError: 'BOGUS' is not a valid Stage"),
-], ids=["empty", "no-snippets", "bad-stage"])
+    ({"stage": "RAW", "homologs": [{"rank": 1, "snippets": [], "hit": {
+        "query_id": "q1", "subject_accession": "Q55C17", "percent_identity": 90.0,
+        "alignment_length": 100, "identity_count": 90, "e_value": float("nan"),
+        "bitscore": 200.0}}]}, "ValueError: e_value must be finite, got nan"),
+], ids=["empty", "no-snippets", "bad-stage", "nan-evalue"])
 def test_cli_denoise_names_a_file_that_is_not_a_pool(tmp_path, capsys, pool, cause):
     pool_path = tmp_path / "pool.json"
     pool_path.write_text(json.dumps(pool), encoding="utf-8")
@@ -1831,6 +1842,10 @@ def test_config_type_errors_name_their_section(text, section, cause):
     pytest.param("train: {epochs: -1}", "train.epochs must be >= 0, got -1", id="epochs-negative"),
     pytest.param("train: {learning_rate: 0}", "train.learning_rate must be > 0, got 0",
                  id="learning-rate-0"),
+    pytest.param("train: {learning_rate: .nan}", "train.learning_rate must be finite, got nan",
+                 id="learning-rate-nan"),
+    pytest.param("train: {learning_rate: .inf}", "train.learning_rate must be finite, got inf",
+                 id="learning-rate-inf"),
     pytest.param("train: {batch_size: 0}", "train.batch_size must be >= 1, got 0",
                  id="batch-size-0"),
     pytest.param("generation: {temperature: -0.5}",
@@ -1887,6 +1902,17 @@ def test_config_type_errors_name_their_section(text, section, cause):
 def test_config_refusals_name_their_key(text, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         config_from_dict(yaml.safe_load(text)).validate_for_mode()
+
+
+def test_cli_filter_train_refuses_a_non_finite_learning_rate(tmp_path, capsys):
+    from conftest import PIPELINE_TYPES, make_synthetic_examples
+
+    examples, out = tmp_path / "train.jsonl", tmp_path / "model.json"
+    write_examples(examples, make_synthetic_examples(PIPELINE_TYPES, per_type=10, seed=3))
+    assert cli.main(["filter", "train", "--examples", str(examples), "--out", str(out),
+                     "--learning-rate", "nan"]) == 2
+    assert capsys.readouterr().err == "error: train.learning_rate must be finite, got nan\n"
+    assert not out.exists()
 
 
 def test_backend_config_refuses_an_unknown_role():

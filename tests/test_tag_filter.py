@@ -621,9 +621,14 @@ def _key_fault(key):
     (lambda p: {**p, "weights": {"999999999": 0.5}}, _key_fault("999999999")),
     (lambda p: {**p, "weights": {"7": "0.5"}}, "weight 7 is '0.5', not a number"),
     (lambda p: {**p, "weights": {"7": True}}, "weight 7 is True, not a number"),
+    (lambda p: {**p, "bias": float("nan")}, "model bias is nan, not finite"),
+    (lambda p: {**p, "bias": float("-inf")}, "model bias is -inf, not finite"),
+    (lambda p: {**p, "weights": {"5": float("inf")}}, "weight 5 is inf, not finite"),
+    (lambda p: {**p, "weights": {"5": float("nan")}}, "weight 5 is nan, not finite"),
 ], ids=["format", "no-feature-dim", "only-format", "feature-dim", "bias", "weights-list",
         "metadata-null", "key-negative", "key-word", "key-signed", "key-at-dim", "key-too-big",
-        "weight-text", "weight-bool"])
+        "weight-text", "weight-bool", "bias-nan", "bias-minus-infinity", "weight-infinity",
+        "weight-nan"])
 def test_load_refuses_a_malformed_model_naming_the_file(tmp_path, trained_model, edit, fault):
     path = tmp_path / "model.json"
     trained_model.save(path)
